@@ -60,7 +60,7 @@ def _parse_cut(text: str) -> tuple[int, ...]:
     try:
         return tuple(sorted({int(p) for p in text.replace(",", " ").split()}))
     except ValueError:
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(f"--cut {text!r} is not a list of vertex ids") from None
 
 
 def _resolve_graph(args) -> tuple[graphmod.Graph, ProductGraph | None]:
@@ -73,7 +73,7 @@ def _resolve_graph(args) -> tuple[graphmod.Graph, ProductGraph | None]:
         return graphmod.make_path(args.n), None
     if args.family == "cycle":
         return graphmod.make_cycle(args.n), None
-    raise SystemExit(EXIT_USAGE)
+    raise ValueError("a graph is needed: give --family or --file")
 
 
 def _render_graph(g: graphmod.Graph, pg: ProductGraph | None, fmt: str) -> str:

@@ -172,9 +172,12 @@ def to_json(g: Graph) -> str:
 
 
 def from_json(text: str) -> Graph:
+    """Parse the interchange format; a malformed document raises ValueError."""
     doc = json.loads(text)
-    labels = doc.get("labels")
-    return from_edges(doc["n"], [tuple(e) for e in doc["edges"]], labels)
+    try:
+        return from_edges(doc["n"], [tuple(e) for e in doc["edges"]], doc.get("labels"))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed graph JSON ({type(exc).__name__}: {exc})") from None
 
 
 def to_dot(g: Graph, highlight: Iterable[int] = ()) -> str:

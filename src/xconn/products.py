@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import Graph, components, from_edges, induced_subgraph, make_cycle, make_path
+from .graph import from_json as graph_from_json
 
 
 @dataclass(frozen=True)
@@ -254,11 +255,15 @@ def to_json(pg: ProductGraph) -> str:
 
 
 def from_json(text: str) -> ProductGraph:
-    doc = json.loads(text)
-    meta = doc["product"]
-    graph = from_edges(doc["n"], [tuple(e) for e in doc["edges"]], doc.get("labels"))
-    pg = ProductGraph(graph, meta["m"], meta["n"], meta["kind"])
-    if not verify_product_structure(pg):
+    """Parse a product document; a malformed one raises ValueError."""
+    graph = graph_from_json(text)
+    try:
+        meta = json.loads(text)["product"]
+        pg = ProductGraph(graph, meta["m"], meta["n"], meta["kind"])
+        consistent = verify_product_structure(pg)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed product JSON ({type(exc).__name__}: {exc})") from None
+    if not consistent:
         raise ValueError("edge set inconsistent with declared product structure")
     return pg
 

@@ -188,17 +188,21 @@ def kappa_extra_subset(graph: Graph, extra: int, budget: int = 10 ** 8) -> Extra
 
 
 def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
-                     seeds: dict[int, int]) -> tuple[dict[int, int | None], dict[int, float], int]:
+                     seeds: dict[int, int], max_nodes: float = INFINITY
+                     ) -> tuple[dict[int, set[int]], dict[int, float], int]:
     """One enumeration pass shared by all requested ``extras``.
 
-    Returns per-extra best witness masks, per-extra best sizes, and the node
-    count.  ``seeds[g]`` must be a certified upper bound on kappa_g (from a
-    validated cut); candidates above it are pruned but a seed never becomes
-    the answer unless an actual cut of that size is found.
+    Returns per-extra sets of every cut mask of the best size found, per-extra
+    best sizes, and the node count.  ``seeds[g]`` must be a certified upper
+    bound on kappa_g (from a validated cut); candidates above it are pruned
+    but a seed never becomes the answer unless an actual cut of that size is
+    found.  Pruning keeps ties, so a pass seeded with kappa_g collects every
+    minimum g-extra cut.  Raises InconclusiveError when more than
+    ``max_nodes`` nodes are spent (checked between roots).
     """
     full = (1 << n) - 1
     best: dict[int, float] = {g: seeds.get(g, INFINITY) for g in extras}
-    wit: dict[int, int | None] = {g: None for g in extras}
+    cuts: dict[int, set[int]] = {g: set() for g in extras}
     ub = max(best.values())
     nodes = 0
 
@@ -224,13 +228,11 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
             csize = nb_size + small
             if csize > best[g]:
                 continue
-            w = nb_mask | small_mask
-            if csize < best[g] or wit[g] is None:
+            if csize < best[g]:
                 best[g] = csize
-                wit[g] = w
+                cuts[g] = set()
                 ub = max(best.values())
-            elif w != wit[g] and _mask_to_tuple(w) < _mask_to_tuple(wit[g]):
-                wit[g] = w
+            cuts[g].add(nb_mask | small_mask)
 
     def grow(s_mask: int, size: int, nb_mask: int, ext: int, forb: int) -> None:
         nonlocal nodes
@@ -249,9 +251,12 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
                 grow(s2, size + 1, nb2, (ext | masks[u]) & ~s2 & ~forb, forb)
             forb |= u_bit
     for v in range(n):
+        if nodes > max_nodes:
+            raise InconclusiveError(
+                f"fragment budget {max_nodes} exhausted before root {v}", nodes)
         forb0 = (1 << v) - 1
         grow(1 << v, 1, masks[v], masks[v] & ~forb0, forb0)
-    return wit, best, nodes
+    return cuts, best, nodes
 
 
 def fragment_solve_many(graph: Graph, extras: Sequence[int],
@@ -269,22 +274,22 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
     t0 = time.perf_counter()
     masks = adjacency_masks(graph)
     seeds = dict(upper_bounds or {})
-    wit, best, nodes = _fragment_search(masks, graph.n, extras, seeds)
-    retry = [g for g in extras if wit[g] is None and g in seeds]
+    cuts, best, nodes = _fragment_search(masks, graph.n, extras, seeds)
+    retry = [g for g in extras if not cuts[g] and g in seeds]
     if retry:
-        wit2, best2, nodes2 = _fragment_search(masks, graph.n, retry, {})
+        cuts2, best2, nodes2 = _fragment_search(masks, graph.n, retry, {})
         nodes += nodes2
         for g in retry:
-            wit[g], best[g] = wit2[g], best2[g]
+            cuts[g], best[g] = cuts2[g], best2[g]
     elapsed = (time.perf_counter() - t0) * 1000.0
     out: dict[int, ExtraConnResult] = {}
     for g in extras:
         stats = SolverStats(nodes, elapsed)
-        if wit[g] is None:
+        if not cuts[g]:
             out[g] = ExtraConnResult(g, INFINITY, None, "fragment", stats)
         else:
-            out[g] = ExtraConnResult(g, int(best[g]), _mask_to_tuple(wit[g]),
-                                     "fragment", stats)
+            witness = min(map(_mask_to_tuple, cuts[g]))
+            out[g] = ExtraConnResult(g, int(best[g]), witness, "fragment", stats)
     return out
 
 
@@ -327,71 +332,28 @@ def enumerate_min_cuts(graph: Graph, extra: int, known_value: int | None = None,
     return []
 
 
-def _min_comp_after_removal(masks: Sequence[int], full: int, cut: int,
-                            floor: int) -> int | None:
-    """Smallest component size of the graph minus ``cut``; None when the
-    removal leaves fewer than two components or any component below ``floor``."""
-    sub = full & ~cut
-    if sub == 0:
-        return None
-    ncomp = 0
-    smallest = None
-    while sub:
-        frontier = sub & -sub
-        comp = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                vb = f & -f
-                f ^= vb
-                nxt |= masks[vb.bit_length() - 1]
-            frontier = nxt & sub & ~comp
-        size = comp.bit_count()
-        if size < floor:
-            return None
-        if smallest is None or size < smallest:
-            smallest = size
-        sub &= ~comp
-        ncomp += 1
-    return smallest if ncomp >= 2 else None
-
-
 def min_cuts_grouped(graph: Graph, value_by_extra: dict[int, int],
                      max_checks: int = 50_000_000) -> dict[int, list[tuple[int, ...]]]:
-    """Minimum g-extra cuts for several extras at once.
+    """Minimum g-extra cuts for several extras at once, in lexicographic order.
 
-    ``value_by_extra[g]`` must be the known kappa_g (from a solver); extras
-    sharing a cut size are served by a single subset scan at that size.
+    ``value_by_extra[g]`` must be the known kappa_g (from a solver); one
+    fragment pass seeded with these values collects every cut of that size,
+    because each minimum cut is reconstructed from its smallest component.
     Output matches ``enumerate_min_cuts(graph, g, known_value=...)`` per g.
+    Raises ValueError when a value is not kappa_g, and InconclusiveError once
+    more than ``max_checks`` fragment nodes are spent.
     """
-    for g in value_by_extra:
+    if not value_by_extra:
+        return {}
+    extras = sorted(value_by_extra)
+    for g in extras:
         _validate_solver_input(graph, g)
-    n = graph.n
-    masks = adjacency_masks(graph)
-    full = (1 << n) - 1
-    by_size: dict[int, list[int]] = {}
-    for g, k in value_by_extra.items():
-        by_size.setdefault(k, []).append(g)
-    planned = sum(math.comb(n, k) for k in by_size)
-    if planned > max_checks:
-        raise InconclusiveError(
-            f"min-cut enumeration would need {planned} checks (cap {max_checks})", 0)
-    out: dict[int, list[tuple[int, ...]]] = {g: [] for g in value_by_extra}
-    for k, extras in by_size.items():
-        floor = min(extras) + 1
-        for combo in combinations(range(n), k):
-            cut = 0
-            for v in combo:
-                cut |= 1 << v
-            mc = _min_comp_after_removal(masks, full, cut, floor)
-            if mc is None:
-                continue
-            for g in extras:
-                if mc >= g + 1:
-                    out[g].append(combo)
-    return out
+    cuts, best, _ = _fragment_search(adjacency_masks(graph), graph.n, extras,
+                                     value_by_extra, max_checks)
+    for g in extras:
+        if not cuts[g] or best[g] != value_by_extra[g]:
+            raise ValueError(f"{value_by_extra[g]} is not kappa_{g} of the graph")
+    return {g: sorted(map(_mask_to_tuple, cuts[g])) for g in extras}
 
 
 def classical_connectivity(graph: Graph) -> int:

@@ -143,3 +143,32 @@ def test_identical_invocations_identical_bytes(capsys):
     a, b = json.loads(first), json.loads(second)
     a.pop("stats"), b.pop("stats")
     assert a == b
+
+
+@pytest.mark.parametrize("doc", ['{"n": 3}', '{"n": 3, "edges": 5}', '[1, 2]',
+                                 '{"n": 3, "edges": [null]}', 'not json'])
+def test_malformed_graph_json_exits_1(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert run(["exact", "--file", str(path), "--g", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("meta", ['{"m": 2}', '7', '{"m": 2, "n": 2, "kind": null}'])
+def test_malformed_product_json_exits_1(tmp_path, capsys, meta):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]], '
+                    f'"product": {meta}}}')
+    assert run(["check-layers", "--file", str(path), "--g", "0", "--cut", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unparsable_cut_reports_error(capsys):
+    assert run(["classify-cut", "--family", "pxp", "--m", "3", "--n", "3",
+                "--cut", "1,x"]) == 1
+    assert "error: --cut '1,x'" in capsys.readouterr().err
+
+
+def test_missing_graph_reports_error(capsys):
+    assert run(["exact", "--g", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,9 +1,11 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import connected_graphs
-from xconn.graph import components, from_edges, make_cycle, make_path, neighborhood
+from xconn.graph import (components, from_edges, is_complete, make_cycle, make_path,
+                         neighborhood)
 from xconn.products import family_product
 from xconn.solver import (INFINITY, InconclusiveError, check_g_extra_cut,
                           check_layer_bounds, classical_connectivity,
@@ -128,6 +130,37 @@ def test_min_cuts_grouped_matches_per_extra_enumeration():
         min_cuts_grouped(g, values, max_checks=5)
 
 
+def test_min_cuts_grouped_absorbs_stranded_cut_vertices():
+    t = from_edges(6, [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5)])
+    cuts = min_cuts_grouped(t, {1: 2})
+    assert cuts == {1: enumerate_min_cuts(t, 1, known_value=2)} == {1: [(2, 3)]}
+    assert min_cuts_grouped(t, {}) == {}
+
+
+@given(connected_graphs(min_n=2, max_n=10))
+@settings(max_examples=80, deadline=None)
+def test_min_cuts_grouped_matches_subset_scan(g):
+    values = {}
+    for extra in (0, 1, 2):
+        value = kappa_extra_subset(g, extra).value
+        if value is not INFINITY:
+            values[extra] = value
+    grouped = min_cuts_grouped(g, values)
+    assert set(grouped) == set(values)
+    for extra, value in values.items():
+        assert grouped[extra] == enumerate_min_cuts(g, extra, known_value=value)
+
+
+@given(connected_graphs(min_n=2, max_n=10), st.integers(0, 2), st.sampled_from((-1, 1)))
+@settings(max_examples=60, deadline=None)
+def test_min_cuts_grouped_rejects_a_wrong_value(g, extra, offset):
+    value = kappa_extra_subset(g, extra).value
+    if value is INFINITY:
+        value = g.n  # no cut of any size exists
+    with pytest.raises(ValueError):
+        min_cuts_grouped(g, {extra: value + offset})
+
+
 def test_classical_connectivity_known_values():
     assert classical_connectivity(make_path(7)) == 1
     assert classical_connectivity(make_cycle(5)) == 2
@@ -197,3 +230,13 @@ def test_monotone_in_extra(g, extra):
     hi = kappa_extra_fragment(g, extra + 1).value
     if lo is not INFINITY and hi is not INFINITY:
         assert lo <= hi
+
+
+@given(connected_graphs(min_n=2, max_n=10))
+@settings(max_examples=120, deadline=None)
+def test_kappa0_matches_networkx_node_connectivity(g):
+    value = kappa_extra_fragment(g, 0).value
+    if is_complete(g):
+        assert value is INFINITY
+    else:
+        assert value == nx.node_connectivity(nx.Graph(g.edges))

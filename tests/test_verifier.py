@@ -1,3 +1,5 @@
+from pathlib import Path
+
 from xconn.graph import make_cycle, make_path
 from xconn.products import family_product
 from xconn.solver import INFINITY
@@ -6,6 +8,7 @@ from xconn.verifier import (SweepConfig, check_cartesian_connectivity,
                             to_csv, to_json_dict)
 
 SMALL = SweepConfig(families=("pxp",), m_range=(3, 4), n_range=(3, 4))
+REFERENCE_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "sweep_default.csv"
 
 
 def test_small_sweep_all_agree():
@@ -72,3 +75,8 @@ def test_cartesian_connectivity_formula():
     assert check_cartesian_connectivity(make_path(3), make_path(3))
     assert check_cartesian_connectivity(make_path(2), make_path(5))
     assert check_cartesian_connectivity(make_cycle(4), make_cycle(4))
+
+
+def test_default_sweep_matches_reference_csv():
+    # the committed output of `xconn sweep --threads 1 --format csv`
+    assert to_csv(sweep(SweepConfig(), threads=1)) == REFERENCE_CSV.read_text()
