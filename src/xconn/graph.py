@@ -173,7 +173,11 @@ def to_json(g: Graph) -> str:
 
 def from_json(text: str) -> Graph:
     """Parse the interchange format; a malformed document raises ValueError."""
-    doc = json.loads(text)
+    return from_doc(json.loads(text))
+
+
+def from_doc(doc: object) -> Graph:
+    """Build a graph from an already parsed interchange document."""
     try:
         return from_edges(doc["n"], [tuple(e) for e in doc["edges"]], doc.get("labels"))
     except (KeyError, TypeError) as exc:

@@ -19,8 +19,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, components, from_edges, induced_subgraph, make_cycle, make_path
-from .graph import from_json as graph_from_json
+from .graph import (Graph, components, from_doc, from_edges, induced_subgraph, make_cycle,
+                    make_path)
 
 
 @dataclass(frozen=True)
@@ -256,14 +256,17 @@ def to_json(pg: ProductGraph) -> str:
 
 def from_json(text: str) -> ProductGraph:
     """Parse a product document; a malformed one raises ValueError."""
-    graph = graph_from_json(text)
+    doc = json.loads(text)
+    graph = from_doc(doc)
     try:
-        meta = json.loads(text)["product"]
-        pg = ProductGraph(graph, meta["m"], meta["n"], meta["kind"])
-        consistent = verify_product_structure(pg)
+        meta = doc["product"]
+        m, n, kind = meta["m"], meta["n"], meta["kind"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed product JSON ({type(exc).__name__}: {exc})") from None
-    if not consistent:
+    if type(m) is not int or type(n) is not int:
+        raise ValueError("malformed product JSON (factor orders must be integers)")
+    pg = ProductGraph(graph, m, n, kind)
+    if not verify_product_structure(pg):
         raise ValueError("edge set inconsistent with declared product structure")
     return pg
 

@@ -188,21 +188,26 @@ def kappa_extra_subset(graph: Graph, extra: int, budget: int = 10 ** 8) -> Extra
 
 
 def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
-                     seeds: dict[int, int], max_nodes: float = INFINITY
-                     ) -> tuple[dict[int, set[int]], dict[int, float], int]:
+                     seeds: dict[int, int], max_nodes: float = INFINITY,
+                     ties: dict[int, set[int]] | None = None
+                     ) -> tuple[dict[int, int | None], dict[int, float], int]:
     """One enumeration pass shared by all requested ``extras``.
 
-    Returns per-extra sets of every cut mask of the best size found, per-extra
-    best sizes, and the node count.  ``seeds[g]`` must be a certified upper
-    bound on kappa_g (from a validated cut); candidates above it are pruned
-    but a seed never becomes the answer unless an actual cut of that size is
-    found.  Pruning keeps ties, so a pass seeded with kappa_g collects every
-    minimum g-extra cut.  Raises InconclusiveError when more than
-    ``max_nodes`` nodes are spent (checked between roots).
+    Returns per-extra best witness masks, per-extra best sizes, and the node
+    count.  ``seeds[g]`` must be a certified upper bound on kappa_g (from a
+    validated cut); candidates above it are pruned but a seed never becomes
+    the answer unless an actual cut of that size is found.
+
+    When ``ties`` is given, ``ties[g]`` ends as the set of every cut mask of
+    the best size (the witness is then the first one found, not the
+    smallest).  Pruning keeps ties, so a pass seeded with kappa_g collects
+    every minimum g-extra cut.  ``max_nodes`` is checked only between roots,
+    so a pass may overrun it by one root's subtree before InconclusiveError
+    is raised.
     """
     full = (1 << n) - 1
     best: dict[int, float] = {g: seeds.get(g, INFINITY) for g in extras}
-    cuts: dict[int, set[int]] = {g: set() for g in extras}
+    wit: dict[int, int | None] = {g: None for g in extras}
     ub = max(best.values())
     nodes = 0
 
@@ -228,11 +233,17 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
             csize = nb_size + small
             if csize > best[g]:
                 continue
-            if csize < best[g]:
+            w = nb_mask | small_mask
+            if csize < best[g] or wit[g] is None:
                 best[g] = csize
-                cuts[g] = set()
+                wit[g] = w
                 ub = max(best.values())
-            cuts[g].add(nb_mask | small_mask)
+                if ties is not None:
+                    ties[g] = {w}
+            elif ties is not None:
+                ties[g].add(w)
+            elif w != wit[g] and _mask_to_tuple(w) < _mask_to_tuple(wit[g]):
+                wit[g] = w
 
     def grow(s_mask: int, size: int, nb_mask: int, ext: int, forb: int) -> None:
         nonlocal nodes
@@ -256,7 +267,7 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
                 f"fragment budget {max_nodes} exhausted before root {v}", nodes)
         forb0 = (1 << v) - 1
         grow(1 << v, 1, masks[v], masks[v] & ~forb0, forb0)
-    return cuts, best, nodes
+    return wit, best, nodes
 
 
 def fragment_solve_many(graph: Graph, extras: Sequence[int],
@@ -274,22 +285,22 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
     t0 = time.perf_counter()
     masks = adjacency_masks(graph)
     seeds = dict(upper_bounds or {})
-    cuts, best, nodes = _fragment_search(masks, graph.n, extras, seeds)
-    retry = [g for g in extras if not cuts[g] and g in seeds]
+    wit, best, nodes = _fragment_search(masks, graph.n, extras, seeds)
+    retry = [g for g in extras if wit[g] is None and g in seeds]
     if retry:
-        cuts2, best2, nodes2 = _fragment_search(masks, graph.n, retry, {})
+        wit2, best2, nodes2 = _fragment_search(masks, graph.n, retry, {})
         nodes += nodes2
         for g in retry:
-            cuts[g], best[g] = cuts2[g], best2[g]
+            wit[g], best[g] = wit2[g], best2[g]
     elapsed = (time.perf_counter() - t0) * 1000.0
     out: dict[int, ExtraConnResult] = {}
     for g in extras:
         stats = SolverStats(nodes, elapsed)
-        if not cuts[g]:
+        if wit[g] is None:
             out[g] = ExtraConnResult(g, INFINITY, None, "fragment", stats)
         else:
-            witness = min(map(_mask_to_tuple, cuts[g]))
-            out[g] = ExtraConnResult(g, int(best[g]), witness, "fragment", stats)
+            out[g] = ExtraConnResult(g, int(best[g]), _mask_to_tuple(wit[g]),
+                                     "fragment", stats)
     return out
 
 
@@ -340,16 +351,18 @@ def min_cuts_grouped(graph: Graph, value_by_extra: dict[int, int],
     fragment pass seeded with these values collects every cut of that size,
     because each minimum cut is reconstructed from its smallest component.
     Output matches ``enumerate_min_cuts(graph, g, known_value=...)`` per g.
-    Raises ValueError when a value is not kappa_g, and InconclusiveError once
-    more than ``max_checks`` fragment nodes are spent.
+    Raises ValueError when a value is not kappa_g, and InconclusiveError when
+    more than ``max_checks`` fragment nodes are spent; the budget is checked
+    between roots of the pass, so it is approximate, not a hard cap.
     """
     if not value_by_extra:
         return {}
     extras = sorted(value_by_extra)
     for g in extras:
         _validate_solver_input(graph, g)
-    cuts, best, _ = _fragment_search(adjacency_masks(graph), graph.n, extras,
-                                     value_by_extra, max_checks)
+    cuts: dict[int, set[int]] = {g: set() for g in extras}
+    _, best, _ = _fragment_search(adjacency_masks(graph), graph.n, extras,
+                                  value_by_extra, max_checks, cuts)
     for g in extras:
         if not cuts[g] or best[g] != value_by_extra[g]:
             raise ValueError(f"{value_by_extra[g]} is not kappa_{g} of the graph")

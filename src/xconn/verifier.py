@@ -37,7 +37,7 @@ class SweepConfig:
     max_vertices: int = 36                   # cells above this are inconclusive
     enumerate_limit: int = 25                # min-cut enumeration vertex cap
     classify_limit: int = 16                 # I/L classification vertex cap
-    enumerate_checks: int = 50_000_000       # min-cut enumeration fragment-node budget
+    enumerate_checks: int = 50_000_000       # min-cut fragment-node budget, checked between roots
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,9 @@ def test_malformed_graph_json_exits_1(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("meta", ['{"m": 2}', '7', '{"m": 2, "n": 2, "kind": null}'])
+@pytest.mark.parametrize("meta", ['{"m": 2}', '7', '{"m": 2, "n": 2, "kind": null}',
+                                  '{"m": 2.0, "n": 2.0, "kind": "strong"}',
+                                  '{"m": "a", "n": "b", "kind": "strong"}'])
 def test_malformed_product_json_exits_1(tmp_path, capsys, meta):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]], '
