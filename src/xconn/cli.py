@@ -2,9 +2,9 @@
 
 Subcommands: gen, product, exact, formula, witness, classify-cut,
 check-layers, sweep.  Exit codes: 0 success, 1 usage or input error,
-2 outside the asserted closed-form domain, 3 inconclusive (budget),
-4 verification failure.  No subcommand uses randomness, so identical
-invocations produce identical bytes.
+2 outside the asserted closed-form domain, 3 inconclusive (budget or
+recursion limit), 4 verification failure.  No subcommand uses randomness,
+so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations

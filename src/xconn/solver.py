@@ -20,7 +20,9 @@ Both return the lexicographically smallest minimum cut as witness.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -188,32 +190,31 @@ def kappa_extra_subset(graph: Graph, extra: int, budget: int = 10 ** 8) -> Extra
 
 
 def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
-                     seeds: dict[int, int], max_nodes: float = INFINITY,
-                     ties: dict[int, set[int]] | None = None
-                     ) -> tuple[dict[int, int | None], dict[int, float], int]:
+                     seeds: dict[int, int], max_nodes: float = INFINITY
+                     ) -> tuple[dict[int, set[int]], dict[int, float], int]:
     """One enumeration pass shared by all requested ``extras``.
 
-    Returns per-extra best witness masks, per-extra best sizes, and the node
-    count.  ``seeds[g]`` must be a certified upper bound on kappa_g (from a
-    validated cut); candidates above it are pruned but a seed never becomes
-    the answer unless an actual cut of that size is found.
+    Returns per-extra tie sets, per-extra best sizes, and the node count.
+    ``ties[g]`` ends as the set of every cut mask of size ``best[g]`` (empty
+    when no cut within the seed was found).  ``seeds[g]`` must be a certified
+    upper bound on kappa_g (from a validated cut); candidates above it are
+    pruned but a seed never becomes the answer unless an actual cut of that
+    size is found.  Pruning never lets its bound fall below kappa_g and keeps
+    ties, so every minimum g-extra cut ends in ``ties[g]``.
 
-    When ``ties`` is given, ``ties[g]`` ends as the set of every cut mask of
-    the best size (the witness is then the first one found, not the
-    smallest).  Pruning keeps ties, so a pass seeded with kappa_g collects
-    every minimum g-extra cut.  ``max_nodes`` is checked only between roots,
-    so a pass may overrun it by one root's subtree before InconclusiveError
-    is raised.
+    ``max_nodes`` is checked only between roots, so a pass may overrun it by
+    one root's subtree before InconclusiveError is raised.  A fragment deeper
+    than the interpreter's recursion limit also raises InconclusiveError.
     """
     full = (1 << n) - 1
     best: dict[int, float] = {g: seeds.get(g, INFINITY) for g in extras}
-    wit: dict[int, int | None] = {g: None for g in extras}
+    ties: dict[int, set[int]] = {g: set() for g in extras}
     ub = max(best.values())
+    min_size = min(extras) + 1
     nodes = 0
 
-    def evaluate(s_mask: int, size: int, nb_mask: int) -> None:
+    def evaluate(s_mask: int, size: int, nb_mask: int, nb_size: int) -> None:
         nonlocal ub
-        nb_size = nb_mask.bit_count()
         todo = [g for g in extras if size >= g + 1 and nb_size <= best[g]]
         if not todo:
             return
@@ -234,21 +235,21 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
             if csize > best[g]:
                 continue
             w = nb_mask | small_mask
-            if csize < best[g] or wit[g] is None:
+            if csize < best[g] or not ties[g]:
                 best[g] = csize
-                wit[g] = w
+                ties[g] = {w}
                 ub = max(best.values())
-                if ties is not None:
-                    ties[g] = {w}
-            elif ties is not None:
+            else:
                 ties[g].add(w)
-            elif w != wit[g] and _mask_to_tuple(w) < _mask_to_tuple(wit[g]):
-                wit[g] = w
 
     def grow(s_mask: int, size: int, nb_mask: int, ext: int, forb: int) -> None:
         nonlocal nodes
         nodes += 1
-        evaluate(s_mask, size, nb_mask)
+        # a necessary condition for a non-empty ``todo`` in evaluate
+        if size >= min_size:
+            nb_size = nb_mask.bit_count()
+            if nb_size <= ub:
+                evaluate(s_mask, size, nb_mask, nb_size)
         while ext:
             u_bit = ext & -ext
             ext ^= u_bit
@@ -261,13 +262,23 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
             if bound <= ub and (size + 1) * 2 <= n - bound:
                 grow(s2, size + 1, nb2, (ext | masks[u]) & ~s2 & ~forb, forb)
             forb |= u_bit
-    for v in range(n):
-        if nodes > max_nodes:
-            raise InconclusiveError(
-                f"fragment budget {max_nodes} exhausted before root {v}", nodes)
-        forb0 = (1 << v) - 1
-        grow(1 << v, 1, masks[v], masks[v] & ~forb0, forb0)
-    return wit, best, nodes
+    try:
+        for v in range(n):
+            if nodes > max_nodes:
+                raise InconclusiveError(
+                    f"fragment budget {max_nodes} exhausted before root {v}", nodes)
+            forb0 = (1 << v) - 1
+            grow(1 << v, 1, masks[v], masks[v] & ~forb0, forb0)
+    except RecursionError:
+        raise InconclusiveError(
+            f"fragment search deeper than the recursion limit "
+            f"({sys.getrecursionlimit()}) after {nodes} nodes", nodes) from None
+    return ties, best, nodes
+
+
+# The last solve: (graph, ties, best) of fragment_solve_many's final pass.
+# min_cuts_grouped reads it when asked about the same graph object.
+_last_solve: tuple[Graph, dict[int, set[int]], dict[int, float]] | None = None
 
 
 def fragment_solve_many(graph: Graph, extras: Sequence[int],
@@ -278,28 +289,31 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
     ``upper_bounds`` seeds pruning with certified cut sizes (e.g. validated
     witness constructions); if a seed turns out too small the affected values
     are recomputed unseeded, so results never depend on seed correctness.
+    The pass's tie sets are kept for ``min_cuts_grouped`` on the same graph.
     """
+    global _last_solve
     extras = sorted(set(extras))
     for g in extras:
         _validate_solver_input(graph, g)
     t0 = time.perf_counter()
     masks = adjacency_masks(graph)
     seeds = dict(upper_bounds or {})
-    wit, best, nodes = _fragment_search(masks, graph.n, extras, seeds)
-    retry = [g for g in extras if wit[g] is None and g in seeds]
+    ties, best, nodes = _fragment_search(masks, graph.n, extras, seeds)
+    retry = [g for g in extras if not ties[g] and g in seeds]
     if retry:
-        wit2, best2, nodes2 = _fragment_search(masks, graph.n, retry, {})
+        ties2, best2, nodes2 = _fragment_search(masks, graph.n, retry, {})
         nodes += nodes2
         for g in retry:
-            wit[g], best[g] = wit2[g], best2[g]
+            ties[g], best[g] = ties2[g], best2[g]
+    _last_solve = (graph, ties, best)
     elapsed = (time.perf_counter() - t0) * 1000.0
     out: dict[int, ExtraConnResult] = {}
     for g in extras:
         stats = SolverStats(nodes, elapsed)
-        if wit[g] is None:
+        if not ties[g]:
             out[g] = ExtraConnResult(g, INFINITY, None, "fragment", stats)
         else:
-            out[g] = ExtraConnResult(g, int(best[g]), _mask_to_tuple(wit[g]),
+            out[g] = ExtraConnResult(g, int(best[g]), min(map(_mask_to_tuple, ties[g])),
                                      "fragment", stats)
     return out
 
@@ -347,28 +361,35 @@ def min_cuts_grouped(graph: Graph, value_by_extra: dict[int, int],
                      max_checks: int = 50_000_000) -> dict[int, list[tuple[int, ...]]]:
     """Minimum g-extra cuts for several extras at once, in lexicographic order.
 
-    ``value_by_extra[g]`` must be the known kappa_g (from a solver); one
-    fragment pass seeded with these values collects every cut of that size,
-    because each minimum cut is reconstructed from its smallest component.
+    ``value_by_extra[g]`` must be the known kappa_g (from a solver).  When
+    the last ``fragment_solve_many`` call solved this same graph object for
+    every requested g, its tie sets are the answer and no search runs (so
+    no InconclusiveError either).  Otherwise one fragment pass seeded with
+    these values collects every cut of that size, because each minimum cut
+    is reconstructed from its smallest component.
     Output matches ``enumerate_min_cuts(graph, g, known_value=...)`` per g.
     Raises ValueError when a value is not kappa_g, and InconclusiveError when
-    more than ``max_checks`` fragment nodes are spent; the budget is checked
-    between roots of the pass, so it is approximate, not a hard cap.
+    the search spends more than ``max_checks`` fragment nodes; the budget is
+    checked between roots of the pass, so it is approximate, not a hard cap.
     """
     if not value_by_extra:
         return {}
     extras = sorted(value_by_extra)
     for g in extras:
         _validate_solver_input(graph, g)
-    cuts: dict[int, set[int]] = {g: set() for g in extras}
-    _, best, _ = _fragment_search(adjacency_masks(graph), graph.n, extras,
-                                  value_by_extra, max_checks, cuts)
+    entry = _last_solve
+    if entry is not None and entry[0] is graph and all(g in entry[1] for g in extras):
+        _, cuts, best = entry
+    else:
+        cuts, best, _ = _fragment_search(adjacency_masks(graph), graph.n, extras,
+                                         value_by_extra, max_checks)
     for g in extras:
         if not cuts[g] or best[g] != value_by_extra[g]:
             raise ValueError(f"{value_by_extra[g]} is not kappa_{g} of the graph")
     return {g: sorted(map(_mask_to_tuple, cuts[g])) for g in extras}
 
 
+@functools.lru_cache(maxsize=32)
 def classical_connectivity(graph: Graph) -> int:
     """Vertex connectivity; |V|-1 for complete graphs by convention."""
     if graph.n == 0:

@@ -37,7 +37,6 @@ class SweepConfig:
     max_vertices: int = 36                   # cells above this are inconclusive
     enumerate_limit: int = 25                # min-cut enumeration vertex cap
     classify_limit: int = 16                 # I/L classification vertex cap
-    enumerate_checks: int = 50_000_000       # min-cut fragment-node budget, checked between roots
 
 
 @dataclass(frozen=True)
@@ -76,6 +75,9 @@ def _cell_grid(config: SweepConfig, family: str) -> list[tuple[int, int]]:
 def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
     family, m, n, config = args
     t0 = time.perf_counter()
+    # each cell starts with an empty factor-connectivity cache, so it does the
+    # same work whichever cells ran before it in this process, serial or pooled
+    classical_connectivity.cache_clear()
     pg = family_product(family, m, n)
     limit = guard_limit(family, m, n)
     if config.explicit_g is not None:
@@ -126,11 +128,7 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
     if pg.graph.n <= config.enumerate_limit:
         finite = {g: int(v) for g, v in oracle.items()
                   if v is not None and v is not INFINITY}
-        try:
-            min_cuts = min_cuts_grouped(pg.graph, finite,
-                                        max_checks=config.enumerate_checks)
-        except InconclusiveError:
-            min_cuts = {}
+        min_cuts = min_cuts_grouped(pg.graph, finite)
 
     rows: list[SweepRow] = []
     for g in gs:

@@ -174,3 +174,12 @@ def test_unparsable_cut_reports_error(capsys):
 def test_missing_graph_reports_error(capsys):
     assert run(["exact", "--g", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_fragment_search_deeper_than_recursion_limit_is_inconclusive(tmp_path, capsys):
+    path = tmp_path / "p2500.json"
+    assert run(["gen", "--family", "path", "--n", "2500", "--out", str(path)]) == 0
+    assert run(["exact", "--file", str(path), "--g", "0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("inconclusive: ") and "recursion limit" in err
+    assert "Traceback" not in err

@@ -21,7 +21,8 @@ MODULES = [importlib.import_module(f"xconn.{info.name}")
 
 
 def own_functions(module: types.ModuleType):
-    """Functions and methods whose code lives in the module's own file."""
+    """Functions and methods whose code lives in the module's own file,
+    including those behind decorator wrappers that set ``__wrapped__``."""
     pending = list(vars(module).values())
     seen = set()
     while pending:
@@ -29,6 +30,8 @@ def own_functions(module: types.ModuleType):
         if id(obj) in seen:
             continue
         seen.add(id(obj))
+        if hasattr(obj, "__wrapped__"):  # e.g. functools.lru_cache wrappers
+            pending.append(obj.__wrapped__)
         if isinstance(obj, (staticmethod, classmethod)):
             pending.append(obj.__func__)
         elif isinstance(obj, property):
@@ -61,3 +64,9 @@ def test_no_undefined_globals():
     assert {"xconn.formulas", "xconn.solver", "xconn.verifier"} <= {m.__name__ for m in MODULES}
     missing = [entry for module in MODULES for entry in undefined_globals(module)]
     assert missing == [], missing
+
+
+def test_decorated_functions_are_checked():
+    from xconn import solver
+    checked = set(own_functions(solver))
+    assert solver.classical_connectivity.__wrapped__ in checked

@@ -1,3 +1,5 @@
+import dataclasses
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,40 @@ def test_min_cuts_grouped_rejects_a_wrong_value(g, extra, offset):
         min_cuts_grouped(g, {extra: value + offset})
 
 
+def subset_values(g):
+    values = {}
+    for extra in (0, 1, 2):
+        value = kappa_extra_subset(g, extra).value
+        if value is not INFINITY:
+            values[extra] = value
+    return values
+
+
+@given(connected_graphs(min_n=2, max_n=10), connected_graphs(min_n=2, max_n=10),
+       st.sets(st.integers(0, 2), min_size=1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_min_cuts_grouped_after_a_solve(a, b, solved, b_equals_a):
+    # the last solve answers only for its own graph object and solved extras
+    if b_equals_a:
+        b = dataclasses.replace(a)  # equal to a, but a distinct object
+    fragment_solve_many(a, sorted(solved))
+    for graph in (b, a):
+        values = subset_values(graph)
+        grouped = min_cuts_grouped(graph, values)
+        assert grouped == {extra: enumerate_min_cuts(graph, extra, known_value=value)
+                           for extra, value in values.items()}
+
+
+@given(connected_graphs(min_n=2, max_n=10), st.integers(0, 2), st.sampled_from((-1, 1)))
+@settings(max_examples=60, deadline=None)
+def test_min_cuts_grouped_after_a_solve_rejects_a_wrong_value(g, extra, offset):
+    value = fragment_solve_many(g, [extra])[extra].value
+    if value is INFINITY:
+        value = g.n  # no cut of any size exists
+    with pytest.raises(ValueError):
+        min_cuts_grouped(g, {extra: value + offset})
+
+
 def test_classical_connectivity_known_values():
     assert classical_connectivity(make_path(7)) == 1
     assert classical_connectivity(make_cycle(5)) == 2
@@ -170,6 +206,15 @@ def test_classical_connectivity_known_values():
                                (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
                                (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)])
     assert classical_connectivity(petersen) == 3
+
+
+@given(connected_graphs(min_n=2, max_n=10))
+@settings(max_examples=60, deadline=None)
+def test_classical_connectivity_cache_matches_a_fresh_solve(g):
+    fresh = kappa_extra_fragment(g, 0).value
+    expected = g.n - 1 if fresh is INFINITY else fresh
+    # the second call, on an equal graph object, is answered from the cache
+    assert classical_connectivity(g) == classical_connectivity(dataclasses.replace(g)) == expected
 
 
 def test_kappa0_equals_classical_connectivity():

@@ -1,9 +1,10 @@
 from pathlib import Path
 
+from xconn import solver
 from xconn.graph import make_cycle, make_path
 from xconn.products import family_product
 from xconn.solver import INFINITY
-from xconn.verifier import (SweepConfig, check_cartesian_connectivity,
+from xconn.verifier import (SweepConfig, _evaluate_cell, check_cartesian_connectivity,
                             check_min_cut_classification, report_failures, sweep,
                             to_csv, to_json_dict)
 
@@ -80,3 +81,37 @@ def test_cartesian_connectivity_formula():
 def test_default_sweep_matches_reference_csv():
     # the committed output of `xconn sweep --threads 1 --format csv`
     assert to_csv(sweep(SweepConfig(), threads=1)) == REFERENCE_CSV.read_text()
+
+
+def count_fragment_searches(monkeypatch) -> list[int]:
+    """Record the vertex count of every fragment search from now on."""
+    orders = []
+    search = solver._fragment_search
+
+    def counted(masks, n, *args, **kwargs):
+        orders.append(n)
+        return search(masks, n, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_fragment_search", counted)
+    return orders
+
+
+def test_each_cell_runs_one_fragment_search_of_the_product(monkeypatch):
+    orders = count_fragment_searches(monkeypatch)
+    for family, m, n in (("cxc", 4, 4), ("pxp", 4, 5)):
+        orders.clear()
+        _evaluate_cell((family, m, n, SweepConfig()))
+        # factor graphs (classical_connectivity) have fewer vertices
+        assert orders.count(m * n) == 1, (family, m, n, orders)
+
+
+def test_a_cell_repeats_the_same_searches(monkeypatch):
+    # cached factor connectivities do not carry over from an earlier cell, so
+    # serial and pooled sweeps do the same work per cell
+    orders = count_fragment_searches(monkeypatch)
+    runs = []
+    for _ in range(2):
+        orders.clear()
+        _evaluate_cell(("pxp", 3, 4, SweepConfig()))
+        runs.append(list(orders))
+    assert runs[0] == runs[1] and len(runs[0]) > 1
