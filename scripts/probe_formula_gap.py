@@ -9,7 +9,8 @@ g is 2.  On the default verified grids (m, n <= 5) the term is never active
 at an affected g, so every grid row still agrees; this script runs the exact
 solver on larger cells where the term IS active and reports the gap.
 
-Warning: each C6 x C6 cell takes roughly half a minute of exact solving.
+Warning: C6 x C6 at g=2 takes about 25 s of exact solving (3.4 million
+fragment nodes) on a 2-core x86 machine running Python 3.11.
 
 Usage:
     python scripts/probe_formula_gap.py [--m 6] [--n 6] [--g-list 2]

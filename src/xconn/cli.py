@@ -224,6 +224,10 @@ def cmd_sweep(args) -> int:
     else:
         _emit(to_csv(report), args.out)
     failures = report_failures(report)
+    if args.out:
+        agreed = sum(1 for r in report.rows if r.agree)
+        print(f"wrote {args.out}: {len(report.rows)} rows, {agreed} asserted agreements, "
+              f"{len(failures)} failures")
     for line in failures:
         print(f"FAIL {line}", file=sys.stderr)
     return EXIT_VERIFY if failures else EXIT_OK

@@ -7,7 +7,7 @@ function, so values can be shared freely across parallel sweeps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 
@@ -18,11 +18,16 @@ class Graph:
     ``adj[v]`` is the sorted tuple of neighbours of ``v``.  ``labels``, when
     present, carries one display string per vertex (paths use 1-based names
     x1..xn, cycles 0-based x0..x(n-1), matching the usual conventions).
+    ``automorphisms`` optionally declares generators of a symmetry group:
+    each is a permutation ``p`` of the vertices mapping every edge u-v to
+    the edge p[u]-p[v].  They are checked here, so solvers may trust them;
+    they take no part in equality, hashing or serialization.
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = None
+    automorphisms: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0 or len(self.adj) != self.n:
@@ -39,6 +44,14 @@ class Graph:
                     raise ValueError(f"self-loop at {v}")
                 if v not in self.adj[u]:
                     raise ValueError(f"edge {v}-{u} not symmetric")
+        for p in self.automorphisms:
+            if len(p) != self.n or set(p) != set(range(self.n)):
+                raise ValueError("declared automorphism is not a permutation of "
+                                 f"range({self.n})")
+            for v, nbrs in enumerate(self.adj):
+                if tuple(sorted(p[u] for u in nbrs)) != self.adj[p[v]]:
+                    raise ValueError("declared permutation does not map the "
+                                     f"neighbours of {v} onto those of {p[v]}")
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -56,7 +69,8 @@ class Graph:
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]],
-               labels: Sequence[str] | None = None) -> Graph:
+               labels: Sequence[str] | None = None,
+               automorphisms: Iterable[Sequence[int]] = ()) -> Graph:
     """Build a Graph from an edge list, deduplicating and sorting."""
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
@@ -67,23 +81,35 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]],
         nbrs[u].add(v)
         nbrs[v].add(u)
     adj = tuple(tuple(sorted(s)) for s in nbrs)
-    return Graph(n, adj, tuple(labels) if labels is not None else None)
+    return Graph(n, adj, tuple(labels) if labels is not None else None,
+                 tuple(tuple(p) for p in automorphisms))
 
 
 def make_path(n: int, letter: str = "x") -> Graph:
-    """Path on n >= 1 vertices; labels use 1-based indices (x1..xn)."""
+    """Path on n >= 1 vertices; labels use 1-based indices (x1..xn).
+
+    Declares its reversal i -> n-1-i as an automorphism.
+    """
     if n < 1:
         raise ValueError(f"path order must be >= 1, got {n}")
     labels = tuple(f"{letter}{i + 1}" for i in range(n))
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)], labels)
+    reversal = tuple(range(n - 1, -1, -1))
+    return from_edges(n, [(i, i + 1) for i in range(n - 1)], labels, [reversal])
 
 
 def make_cycle(n: int, letter: str = "x") -> Graph:
-    """Cycle on n >= 3 vertices; labels use 0-based indices (x0..x(n-1))."""
+    """Cycle on n >= 3 vertices; labels use 0-based indices (x0..x(n-1)).
+
+    Declares the rotation i -> i+1 and the reflection i -> -i (mod n), which
+    generate its whole automorphism group.
+    """
     if n < 3:
         raise ValueError(f"cycle order must be >= 3, got {n}")
     labels = tuple(f"{letter}{i}" for i in range(n))
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)], labels)
+    rotation = tuple((i + 1) % n for i in range(n))
+    reflection = tuple(-i % n for i in range(n))
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)], labels,
+                      [rotation, reflection])
 
 
 def _check_vertex_set(g: Graph, vs: Iterable[int]) -> frozenset[int]:
@@ -164,7 +190,10 @@ def adjacency_masks(g: Graph) -> list[int]:
 
 
 def to_json(g: Graph) -> str:
-    """Serialize to the interchange format {"n", "edges", "labels"?}."""
+    """Serialize to the interchange format {"n", "edges", "labels"?}.
+
+    Declared automorphisms are not written, so a graph read back declares none.
+    """
     doc: dict = {"n": g.n, "edges": [list(e) for e in g.edges]}
     if g.labels is not None:
         doc["labels"] = list(g.labels)

@@ -80,7 +80,15 @@ def _product(g1: Graph, g2: Graph, strong: bool) -> ProductGraph:
     if g1.labels is not None and g2.labels is not None:
         labels = tuple(f"({g1.labels[i]},{g2.labels[j]})"
                        for i in range(m) for j in range(n))
-    graph = from_edges(m * n, edges, labels)
+    # factor automorphisms act on their own coordinate; equal factors also
+    # swap coordinates.  Each map preserves all three adjacency rules.
+    autos = [tuple(sigma[i] * n + j for i in range(m) for j in range(n))
+             for sigma in g1.automorphisms]
+    autos += [tuple(i * n + tau[j] for i in range(m) for j in range(n))
+              for tau in g2.automorphisms]
+    if g1.adj == g2.adj:
+        autos.append(tuple(j * n + i for i in range(m) for j in range(n)))
+    graph = from_edges(m * n, edges, labels, autos)
     return ProductGraph(graph, m, n, "strong" if strong else "cartesian")
 
 

@@ -189,8 +189,25 @@ def kappa_extra_subset(graph: Graph, extra: int, budget: int = 10 ** 8) -> Extra
     return ExtraConnResult(extra, INFINITY, None, "subset", SolverStats(checks, elapsed))
 
 
+def _close_under(cuts: set[int], automorphisms: Sequence[Sequence[int]]) -> set[int]:
+    """``cuts`` plus every image of its masks under the generated group."""
+    closed = set(cuts)
+    frontier = list(cuts)
+    while frontier:
+        mask = frontier.pop()
+        for p in automorphisms:
+            image = 0
+            for v in _mask_to_tuple(mask):
+                image |= 1 << p[v]
+            if image not in closed:
+                closed.add(image)
+                frontier.append(image)
+    return closed
+
+
 def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
-                     seeds: dict[int, int], max_nodes: float = INFINITY
+                     seeds: dict[int, int], max_nodes: float = INFINITY,
+                     automorphisms: Sequence[Sequence[int]] = ()
                      ) -> tuple[dict[int, set[int]], dict[int, float], int]:
     """One enumeration pass shared by all requested ``extras``.
 
@@ -201,6 +218,18 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
     pruned but a seed never becomes the answer unless an actual cut of that
     size is found.  Pruning never lets its bound fall below kappa_g and keeps
     ties, so every minimum g-extra cut ends in ``ties[g]``.
+
+    ``automorphisms`` (validated generators, e.g. ``Graph.automorphisms``)
+    restrict the roots to the smallest vertex of each orbit; the tie sets
+    are then closed under the generators.  This is exact: let S be a
+    minimum cut, H its smallest component, r(x) the smallest vertex in the
+    orbit of x, u in H with the least r(u), and phi an automorphism with
+    phi(u) = r(u).  Every x in phi(H) has x >= r(x) >= r(u), so phi(H) has
+    its smallest vertex at the root r(u), and the pass finds phi(S) there
+    (pruning keeps ties and commits only boundary vertices inside the cut).
+    The closure maps phi(S) back to S and adds only images of minimum cuts,
+    which are minimum cuts themselves, so the sets are the same as from
+    rooting at every vertex.
 
     ``max_nodes`` is checked only between roots, so a pass may overrun it by
     one root's subtree before InconclusiveError is raised.  A fragment deeper
@@ -262,8 +291,15 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
             if bound <= ub and (size + 1) * 2 <= n - bound:
                 grow(s2, size + 1, nb2, (ext | masks[u]) & ~s2 & ~forb, forb)
             forb |= u_bit
-    try:
+    roots = range(n)
+    if automorphisms:
+        roots, seen = [], 0
         for v in range(n):
+            if not seen >> v & 1:  # v is the smallest vertex of a new orbit
+                roots.append(v)
+                seen |= sum(_close_under({1 << v}, automorphisms))
+    try:
+        for v in roots:
             if nodes > max_nodes:
                 raise InconclusiveError(
                     f"fragment budget {max_nodes} exhausted before root {v}", nodes)
@@ -273,6 +309,8 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
         raise InconclusiveError(
             f"fragment search deeper than the recursion limit "
             f"({sys.getrecursionlimit()}) after {nodes} nodes", nodes) from None
+    if automorphisms:
+        ties = {g: _close_under(cuts, automorphisms) for g, cuts in ties.items()}
     return ties, best, nodes
 
 
@@ -298,10 +336,12 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
     t0 = time.perf_counter()
     masks = adjacency_masks(graph)
     seeds = dict(upper_bounds or {})
-    ties, best, nodes = _fragment_search(masks, graph.n, extras, seeds)
+    autos = graph.automorphisms
+    ties, best, nodes = _fragment_search(masks, graph.n, extras, seeds, automorphisms=autos)
     retry = [g for g in extras if not ties[g] and g in seeds]
     if retry:
-        ties2, best2, nodes2 = _fragment_search(masks, graph.n, retry, {})
+        ties2, best2, nodes2 = _fragment_search(masks, graph.n, retry, {},
+                                                automorphisms=autos)
         nodes += nodes2
         for g in retry:
             ties[g], best[g] = ties2[g], best2[g]
@@ -382,7 +422,8 @@ def min_cuts_grouped(graph: Graph, value_by_extra: dict[int, int],
         _, cuts, best = entry
     else:
         cuts, best, _ = _fragment_search(adjacency_masks(graph), graph.n, extras,
-                                         value_by_extra, max_checks)
+                                         value_by_extra, max_checks,
+                                         automorphisms=graph.automorphisms)
     for g in extras:
         if not cuts[g] or best[g] != value_by_extra[g]:
             raise ValueError(f"{value_by_extra[g]} is not kappa_{g} of the graph")

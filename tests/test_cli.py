@@ -118,6 +118,24 @@ def test_sweep_command(tmp_path, capsys):
     assert all(",1," in line or line.startswith("family") for line in text.splitlines())
 
 
+def test_sweep_out_prints_one_summary_line(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert run(["sweep", "--families", "pxp", "--m-range", "3:3", "--n-range", "3:4",
+                "--threads", "1", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {out}: 6 rows, 6 asserted agreements, 0 failures\n"
+    assert captured.err == ""
+    assert len(out.read_text().splitlines()) == 7
+
+
+def test_sweep_without_out_writes_only_the_report(capsys):
+    assert run(["sweep", "--families", "pxp", "--m-range", "3:3", "--n-range", "3:3",
+                "--threads", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("family,m,n,g") and "wrote" not in captured.out
+    assert captured.err == ""
+
+
 def test_sweep_json(capsys):
     assert run(["sweep", "--families", "pxp", "--m-range", "3:3",
                 "--n-range", "3:3", "--threads", "1", "--format", "json"]) == 0

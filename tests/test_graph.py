@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 
 from strategies import connected_graphs, graphs_with_vertex_sets
-from xconn.graph import (components, from_edges, from_json, induced_subgraph,
+from xconn.graph import (Graph, components, from_edges, from_json, induced_subgraph,
                          is_complete, is_connected, make_cycle, make_path,
                          min_degree, neighborhood, to_dot, to_json)
 
@@ -90,6 +90,46 @@ def test_json_round_trip():
     for g in (make_path(6), make_cycle(5), from_edges(4, [(0, 2), (1, 3)])):
         back = from_json(to_json(g))
         assert back.adj == g.adj and back.labels == g.labels
+
+
+def mapped_edges(g, p):
+    return {frozenset((p[u], p[v])) for u, v in g.edges}
+
+
+@pytest.mark.parametrize("g", [make_path(1), make_path(2), make_path(5),
+                               make_cycle(3), make_cycle(4), make_cycle(7)])
+def test_declared_generators_map_the_edge_set_onto_itself(g):
+    assert g.automorphisms
+    for p in g.automorphisms:
+        assert sorted(p) == list(range(g.n))
+        assert mapped_edges(g, p) == {frozenset(e) for e in g.edges}
+
+
+def test_path_and_cycle_generators():
+    assert make_path(4).automorphisms == ((3, 2, 1, 0),)
+    assert make_cycle(5).automorphisms == ((1, 2, 3, 4, 0), (0, 4, 3, 2, 1))
+
+
+def test_declared_generators_are_validated():
+    edges = [(0, 1), (1, 2)]
+    assert from_edges(3, edges, automorphisms=[[2, 1, 0]]).automorphisms == ((2, 1, 0),)
+    for bad in [(0, 1), (0, 0, 1), (0, 1, 3), (1, 2, 0)]:  # not permutations of range(3)
+        with pytest.raises(ValueError):
+            from_edges(3, edges, automorphisms=[bad])
+    with pytest.raises(ValueError):  # a permutation, but it maps edge 1-2 to 0-2
+        from_edges(3, edges, automorphisms=[(1, 0, 2)])
+    path = make_path(3)
+    with pytest.raises(ValueError):
+        Graph(3, path.adj, None, ((1, 0, 2),))
+
+
+def test_declared_generators_take_no_part_in_equality_or_json():
+    g = make_cycle(5)
+    bare = Graph(g.n, g.adj, g.labels)
+    assert g == bare and hash(g) == hash(bare) and bare.automorphisms == ()
+    back = from_json(to_json(g))
+    assert back == g and back.automorphisms == ()
+    assert induced_subgraph(g, range(4))[0].automorphisms == ()
 
 
 def test_dot_contains_labels_and_highlight():

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from strategies import connected_graphs
 from xconn.graph import (Graph, components, induced_subgraph, is_complete, make_cycle,
                          make_path, min_degree)
-from xconn.products import (cartesian_product, classify_cut, family_product, from_json,
-                            layer, make_i_set, make_l_set, slice_of_set, strong_product,
-                            to_json, verify_product_structure)
+from xconn.products import (FAMILIES, cartesian_product, classify_cut, family_product,
+                            from_json, layer, make_i_set, make_l_set, slice_of_set,
+                            strong_product, to_json, verify_product_structure)
 from xconn.solver import enumerate_min_cuts
 
 
@@ -218,3 +218,27 @@ def test_family_product_labels():
     assert pg.graph.labels == ("(x1,y1)", "(x1,y2)", "(x2,y1)", "(x2,y2)")
     cxc = family_product("cxc", 3, 3)
     assert cxc.graph.labels[0] == "(x0,y0)"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", ["strong", "cartesian"])
+@pytest.mark.parametrize("m,n", [(4, 5), (5, 4), (5, 5)])
+def test_family_product_generators_map_the_edge_set_onto_itself(family, kind, m, n):
+    pg = family_product(family, m, n, kind)
+    edges = {frozenset(e) for e in pg.graph.edges}
+    # two per cycle factor, one per path factor, and the swap of equal factors
+    per_factor = {"p": 1, "c": 2}
+    expected = per_factor[family[0]] + per_factor[family[2]]
+    expected += m == n and family[0] == family[2]
+    assert len(pg.graph.automorphisms) == expected
+    for p in pg.graph.automorphisms:
+        assert sorted(p) == list(range(pg.graph.n))
+        assert {frozenset((p[u], p[v])) for u, v in pg.graph.edges} == edges
+
+
+def test_product_generators_take_no_part_in_equality_or_json():
+    pg = family_product("cxc", 4, 4)
+    bare = Graph(pg.graph.n, pg.graph.adj, pg.graph.labels)
+    assert pg.graph == bare and hash(pg.graph) == hash(bare)
+    back = from_json(to_json(pg))
+    assert back == pg and back.graph.automorphisms == ()

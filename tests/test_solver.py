@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import connected_graphs
-from xconn.graph import (components, from_edges, is_complete, make_cycle, make_path,
+from xconn.formulas import DomainError, FamilyParams, guard_limit
+from xconn.graph import (Graph, components, from_edges, is_complete, make_cycle, make_path,
                          neighborhood)
-from xconn.products import family_product
+from xconn.products import FAMILIES, family_product, strong_product
 from xconn.solver import (INFINITY, InconclusiveError, check_g_extra_cut,
                           check_layer_bounds, classical_connectivity,
                           enumerate_min_cuts, fragment_solve_many,
                           kappa_extra_fragment, kappa_extra_subset, min_cuts_grouped)
+from xconn.verifier import SweepConfig, _cell_grid
+from xconn.witnesses import (WITNESS_KINDS, WitnessError, build_witness, plan_witness,
+                             validate_witness)
 
 
 def test_check_g_extra_cut_examples():
@@ -285,3 +289,70 @@ def test_kappa0_matches_networkx_node_connectivity(g):
         assert value is INFINITY
     else:
         assert value == nx.node_connectivity(nx.Graph(g.edges))
+
+
+def bare_copy(graph):
+    """The same graph declaring no automorphisms, so searched from every root."""
+    return Graph(graph.n, graph.adj)
+
+
+def witness_seeds(pg, family, m, n, gs):
+    """Upper bounds from the validated witness cuts, as a sweep cell seeds them."""
+    seeds = {}
+    for g in gs:
+        params = FamilyParams(family, m, n, g)
+        for which in WITNESS_KINDS:
+            try:
+                cut = build_witness(plan_witness(params, which))
+            except (WitnessError, DomainError):
+                continue
+            if validate_witness(pg, cut, g).is_g_extra:
+                seeds[g] = min(seeds.get(g, len(cut)), len(cut))
+    return seeds
+
+
+def solve_and_group(graph, gs, seeds):
+    results = fragment_solve_many(graph, gs, seeds)
+    values = {g: int(r.value) for g, r in results.items() if r.value is not INFINITY}
+    answers = {g: (r.value, r.witness) for g, r in results.items()}
+    return answers, min_cuts_grouped(graph, values)  # reads the solve's tie sets
+
+
+DEFAULT_SMALL_CELLS = [(family, m, n) for family in FAMILIES
+                       for m, n in _cell_grid(SweepConfig(), family) if m * n <= 25]
+
+
+@pytest.mark.parametrize("family,m,n", DEFAULT_SMALL_CELLS)
+def test_orbit_rooting_keeps_every_answer_on_default_cells(family, m, n):
+    pg = family_product(family, m, n)
+    assert pg.graph.automorphisms
+    gs = list(range(guard_limit(family, m, n) + 1))
+    seeds = witness_seeds(pg, family, m, n, gs)
+    assert solve_and_group(pg.graph, gs, seeds) == solve_and_group(bare_copy(pg.graph), gs, seeds)
+
+
+@pytest.mark.parametrize("family,m,n,extras", [("cxc", 4, 4, (0, 1)), ("cxp", 4, 3, (0, 1, 2))])
+def test_min_cuts_grouped_search_on_a_symmetric_graph(family, m, n, extras):
+    pg = family_product(family, m, n)
+    values = {g: int(kappa_extra_fragment(bare_copy(pg.graph), g).value) for g in extras}
+    grouped = min_cuts_grouped(pg.graph, values)  # not the last solved graph: searches
+    assert grouped == {g: enumerate_min_cuts(pg.graph, g, known_value=values[g])
+                       for g in extras}
+
+
+def test_orbit_rooting_visits_fewer_nodes():
+    torus = family_product("cxc", 4, 4).graph
+    rooted = kappa_extra_fragment(torus, 0)
+    everywhere = kappa_extra_fragment(bare_copy(torus), 0)
+    assert (rooted.value, rooted.witness) == (everywhere.value, everywhere.witness)
+    assert rooted.stats.nodes < everywhere.stats.nodes
+
+
+@given(connected_graphs(min_n=2, max_n=4))
+@settings(max_examples=30, deadline=None)
+def test_square_of_a_random_graph_matches_its_bare_copy(h):
+    # h declares nothing, so the product declares only the coordinate swap
+    square = strong_product(h, h).graph
+    assert len(square.automorphisms) == 1
+    gs = [0, 1, 2]
+    assert solve_and_group(square, gs, {}) == solve_and_group(bare_copy(square), gs, {})
