@@ -131,24 +131,10 @@ def neighborhood(g: Graph, vs: Iterable[int]) -> tuple[int, ...]:
 
 def components(g: Graph, removed: Iterable[int] = ()) -> list[tuple[int, ...]]:
     """Connected components of g minus ``removed``, ordered by smallest member."""
-    gone = _check_vertex_set(g, removed)
-    seen: set[int] = set(gone)
-    comps: list[tuple[int, ...]] = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = [start]
-        while stack:
-            v = stack.pop()
-            for u in g.adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    rest = (1 << g.n) - 1
+    for v in _check_vertex_set(g, removed):
+        rest ^= 1 << v
+    return [mask_to_tuple(comp) for comp, _ in mask_components(adjacency_masks(g), rest)]
 
 
 def is_connected(g: Graph) -> bool:
@@ -187,6 +173,37 @@ def adjacency_masks(g: Graph) -> list[int]:
             m |= 1 << u
         masks[v] = m
     return masks
+
+
+def mask_components(masks: Sequence[int], sub: int) -> list[tuple[int, int]]:
+    """Connected components of the vertices in bitmask ``sub``, as (mask, size)
+    pairs ordered by smallest member; ``masks`` as from ``adjacency_masks``."""
+    comps = []
+    while sub:
+        frontier = sub & -sub
+        comp = 0
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            f = frontier
+            while f:
+                vb = f & -f
+                f ^= vb
+                nxt |= masks[vb.bit_length() - 1]
+            frontier = nxt & sub & ~comp
+        sub &= ~comp
+        comps.append((comp, comp.bit_count()))
+    return comps
+
+
+def mask_to_tuple(mask: int) -> tuple[int, ...]:
+    """The vertex ids set in ``mask``, ascending."""
+    out = []
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out.append(b.bit_length() - 1)
+    return tuple(out)
 
 
 def to_json(g: Graph) -> str:

@@ -113,6 +113,8 @@ def family_product(family: str, m: int, n: int, kind: str = "strong") -> Product
         f1, f2 = make_cycle(m, "x"), make_cycle(n, "y")
     else:
         raise ValueError(f"unknown family {family!r}")
+    if kind not in ("strong", "cartesian"):
+        raise ValueError(f"unknown product kind {kind!r}")
     return _product(f1, f2, strong=(kind == "strong"))
 
 

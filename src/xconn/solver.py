@@ -23,12 +23,12 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .graph import Graph, adjacency_masks, components, is_complete, is_connected
+from .graph import (Graph, adjacency_masks, components, is_complete, is_connected,
+                    mask_components, mask_to_tuple)
 from .products import ProductGraph
 
 INFINITY = math.inf
@@ -53,7 +53,6 @@ class CutVerdict:
 @dataclass(frozen=True)
 class SolverStats:
     nodes: int
-    elapsed_ms: float
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ def result_to_json_dict(res: ExtraConnResult) -> dict:
         "value": "infinity" if res.value is INFINITY else res.value,
         "witness": list(res.witness) if res.witness is not None else None,
         "solver": res.solver,
-        "stats": {"nodes": res.stats.nodes, "elapsed_ms": res.stats.elapsed_ms},
+        "stats": {"nodes": res.stats.nodes},
     }
 
 
@@ -104,58 +103,34 @@ def _validate_solver_input(graph: Graph, extra: int) -> None:
         raise ValueError("graph must be connected")
 
 
-def _components_masks(masks: Sequence[int], sub: int) -> list[tuple[int, int]]:
-    """Connected components of the induced sub-bitmask, as (mask, size) pairs."""
-    comps = []
-    while sub:
-        frontier = sub & -sub
-        comp = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                vb = f & -f
-                f ^= vb
-                nxt |= masks[vb.bit_length() - 1]
-            frontier = nxt & sub & ~comp
-        sub &= ~comp
-        comps.append((comp, comp.bit_count()))
-    return comps
-
-
 def _is_g_extra_mask(masks: Sequence[int], full: int, cut: int, extra: int) -> bool:
-    sub = full & ~cut
-    if sub == 0:
-        return False
-    thr = extra + 1
-    ncomp = 0
-    while sub:
-        frontier = sub & -sub
-        comp = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                vb = f & -f
-                f ^= vb
-                nxt |= masks[vb.bit_length() - 1]
-            frontier = nxt & sub & ~comp
-        if comp.bit_count() < thr:
-            return False
-        sub &= ~comp
-        ncomp += 1
-    return ncomp >= 2
+    comps = mask_components(masks, full & ~cut)
+    return len(comps) >= 2 and all(size > extra for _, size in comps)
 
 
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        out.append(b.bit_length() - 1)
-    return tuple(out)
+def _subset_cuts(graph: Graph, extra: int, ks: Iterable[int], budget: int
+                 ) -> Iterator[tuple[int, tuple[int, ...] | None]]:
+    """Scan the subsets of each cardinality in ``ks``, in lexicographic order.
+
+    Yields ``(checks, cut)`` for every g-extra cut found, and
+    ``(checks, None)`` once each cardinality is done; ``checks`` counts the
+    subsets tested so far.  Raises InconclusiveError at check ``budget + 1``.
+    """
+    masks = adjacency_masks(graph)
+    full = (1 << graph.n) - 1
+    checks = 0
+    for k in ks:
+        for combo in combinations(range(graph.n), k):
+            checks += 1
+            if checks > budget:
+                raise InconclusiveError(
+                    f"subset budget {budget} exhausted at cardinality {k}", checks)
+            cut = 0
+            for v in combo:
+                cut |= 1 << v
+            if _is_g_extra_mask(masks, full, cut, extra):
+                yield checks, combo
+        yield checks, None
 
 
 def kappa_extra_subset(graph: Graph, extra: int, budget: int = 10 ** 8) -> ExtraConnResult:
@@ -165,28 +140,13 @@ def kappa_extra_subset(graph: Graph, extra: int, budget: int = 10 ** 8) -> Extra
     returned value is always exact.
     """
     _validate_solver_input(graph, extra)
-    t0 = time.perf_counter()
-    n = graph.n
-    masks = adjacency_masks(graph)
-    full = (1 << n) - 1
     checks = 0
     # a cut must leave two components of size >= extra+1
-    max_k = n - 2 * (extra + 1)
-    for k in range(1, max_k + 1):
-        for combo in combinations(range(n), k):
-            checks += 1
-            if checks > budget:
-                raise InconclusiveError(
-                    f"subset budget {budget} exhausted at cardinality {k}", checks)
-            cut = 0
-            for v in combo:
-                cut |= 1 << v
-            if _is_g_extra_mask(masks, full, cut, extra):
-                elapsed = (time.perf_counter() - t0) * 1000.0
-                return ExtraConnResult(extra, k, combo, "subset",
-                                       SolverStats(checks, elapsed))
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return ExtraConnResult(extra, INFINITY, None, "subset", SolverStats(checks, elapsed))
+    ks = range(1, graph.n - 2 * (extra + 1) + 1)
+    for checks, combo in _subset_cuts(graph, extra, ks, budget):
+        if combo is not None:
+            return ExtraConnResult(extra, len(combo), combo, "subset", SolverStats(checks))
+    return ExtraConnResult(extra, INFINITY, None, "subset", SolverStats(checks))
 
 
 def _close_under(cuts: set[int], automorphisms: Sequence[Sequence[int]]) -> set[int]:
@@ -197,7 +157,7 @@ def _close_under(cuts: set[int], automorphisms: Sequence[Sequence[int]]) -> set[
         mask = frontier.pop()
         for p in automorphisms:
             image = 0
-            for v in _mask_to_tuple(mask):
+            for v in mask_to_tuple(mask):
                 image |= 1 << p[v]
             if image not in closed:
                 closed.add(image)
@@ -206,8 +166,7 @@ def _close_under(cuts: set[int], automorphisms: Sequence[Sequence[int]]) -> set[
 
 
 def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
-                     seeds: dict[int, int], max_nodes: float = INFINITY,
-                     automorphisms: Sequence[Sequence[int]] = ()
+                     seeds: dict[int, int], automorphisms: Sequence[Sequence[int]] = ()
                      ) -> tuple[dict[int, set[int]], dict[int, float], int]:
     """One enumeration pass shared by all requested ``extras``.
 
@@ -231,9 +190,8 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
     which are minimum cuts themselves, so the sets are the same as from
     rooting at every vertex.
 
-    ``max_nodes`` is checked only between roots, so a pass may overrun it by
-    one root's subtree before InconclusiveError is raised.  A fragment deeper
-    than the interpreter's recursion limit also raises InconclusiveError.
+    A fragment deeper than the interpreter's recursion limit raises
+    InconclusiveError.
     """
     full = (1 << n) - 1
     best: dict[int, float] = {g: seeds.get(g, INFINITY) for g in extras}
@@ -247,7 +205,7 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
         todo = [g for g in extras if size >= g + 1 and nb_size <= best[g]]
         if not todo:
             return
-        comps = _components_masks(masks, full & ~s_mask & ~nb_mask)
+        comps = mask_components(masks, full & ~s_mask & ~nb_mask)
         for g in todo:
             small_mask = 0
             small = 0
@@ -300,9 +258,6 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
                 seen |= sum(_close_under({1 << v}, automorphisms))
     try:
         for v in roots:
-            if nodes > max_nodes:
-                raise InconclusiveError(
-                    f"fragment budget {max_nodes} exhausted before root {v}", nodes)
             forb0 = (1 << v) - 1
             grow(1 << v, 1, masks[v], masks[v] & ~forb0, forb0)
     except RecursionError:
@@ -333,7 +288,6 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
     extras = sorted(set(extras))
     for g in extras:
         _validate_solver_input(graph, g)
-    t0 = time.perf_counter()
     masks = adjacency_masks(graph)
     seeds = dict(upper_bounds or {})
     autos = graph.automorphisms
@@ -346,14 +300,13 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
         for g in retry:
             ties[g], best[g] = ties2[g], best2[g]
     _last_solve = (graph, ties, best)
-    elapsed = (time.perf_counter() - t0) * 1000.0
     out: dict[int, ExtraConnResult] = {}
     for g in extras:
-        stats = SolverStats(nodes, elapsed)
+        stats = SolverStats(nodes)
         if not ties[g]:
             out[g] = ExtraConnResult(g, INFINITY, None, "fragment", stats)
         else:
-            out[g] = ExtraConnResult(g, int(best[g]), min(map(_mask_to_tuple, ties[g])),
+            out[g] = ExtraConnResult(g, int(best[g]), min(map(mask_to_tuple, ties[g])),
                                      "fragment", stats)
     return out
 
@@ -371,46 +324,32 @@ def enumerate_min_cuts(graph: Graph, extra: int, known_value: int | None = None,
 
     ``known_value`` (e.g. from a solver) restricts the scan to that
     cardinality; without it, cardinalities are scanned from 1 upward.
-    Returns [] when no g-extra cut exists.
+    Returns [] when no g-extra cut exists.  Raises InconclusiveError when the
+    scan would test more than ``max_checks`` subsets.
     """
     _validate_solver_input(graph, extra)
-    n = graph.n
-    masks = adjacency_masks(graph)
-    full = (1 << n) - 1
-    ks = [known_value] if known_value is not None else list(range(1, n - 2 * (extra + 1) + 1))
-    planned = 0
-    for k in ks:
-        planned += math.comb(n, k)
-        if planned > max_checks:
-            raise InconclusiveError(
-                f"min-cut enumeration would need {planned} checks (cap {max_checks})",
-                0)
-        found: list[tuple[int, ...]] = []
-        for combo in combinations(range(n), k):
-            cut = 0
-            for v in combo:
-                cut |= 1 << v
-            if _is_g_extra_mask(masks, full, cut, extra):
-                found.append(combo)
-        if found:
-            return found
-    return []
+    ks = [known_value] if known_value is not None else range(1, graph.n - 2 * (extra + 1) + 1)
+    found: list[tuple[int, ...]] = []
+    for _, combo in _subset_cuts(graph, extra, ks, max_checks):
+        if combo is not None:
+            found.append(combo)
+        elif found:
+            break
+    return found
 
 
-def min_cuts_grouped(graph: Graph, value_by_extra: dict[int, int],
-                     max_checks: int = 50_000_000) -> dict[int, list[tuple[int, ...]]]:
+def min_cuts_grouped(graph: Graph, value_by_extra: dict[int, int]
+                     ) -> dict[int, list[tuple[int, ...]]]:
     """Minimum g-extra cuts for several extras at once, in lexicographic order.
 
     ``value_by_extra[g]`` must be the known kappa_g (from a solver).  When
     the last ``fragment_solve_many`` call solved this same graph object for
-    every requested g, its tie sets are the answer and no search runs (so
-    no InconclusiveError either).  Otherwise one fragment pass seeded with
-    these values collects every cut of that size, because each minimum cut
-    is reconstructed from its smallest component.
+    every requested g, its tie sets are the answer and no search runs.
+    Otherwise one fragment pass seeded with these values collects every cut
+    of that size, because each minimum cut is reconstructed from its
+    smallest component.
     Output matches ``enumerate_min_cuts(graph, g, known_value=...)`` per g.
-    Raises ValueError when a value is not kappa_g, and InconclusiveError when
-    the search spends more than ``max_checks`` fragment nodes; the budget is
-    checked between roots of the pass, so it is approximate, not a hard cap.
+    Raises ValueError when a value is not kappa_g.
     """
     if not value_by_extra:
         return {}
@@ -422,12 +361,11 @@ def min_cuts_grouped(graph: Graph, value_by_extra: dict[int, int],
         _, cuts, best = entry
     else:
         cuts, best, _ = _fragment_search(adjacency_masks(graph), graph.n, extras,
-                                         value_by_extra, max_checks,
-                                         automorphisms=graph.automorphisms)
+                                         value_by_extra, graph.automorphisms)
     for g in extras:
         if not cuts[g] or best[g] != value_by_extra[g]:
             raise ValueError(f"{value_by_extra[g]} is not kappa_{g} of the graph")
-    return {g: sorted(map(_mask_to_tuple, cuts[g])) for g in extras}
+    return {g: sorted(map(mask_to_tuple, cuts[g])) for g in extras}
 
 
 @functools.lru_cache(maxsize=32)

@@ -10,16 +10,15 @@ contains no timing data, so identical configurations produce identical bytes.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .formulas import DomainError, FamilyParams, FAMILY_MINS, guard_limit, kappa_formula
+from .formulas import FamilyParams, FAMILY_MINS, guard_limit, kappa_formula
 from .graph import Graph, min_degree
 from .products import FAMILIES, ProductGraph, cartesian_product, classify_cut, family_product
 from .solver import (INFINITY, InconclusiveError, check_layer_bounds, classical_connectivity,
                      enumerate_min_cuts, fragment_solve_many, min_cuts_grouped)
-from .witnesses import WITNESS_KINDS, WitnessError, build_witness, plan_witness, validate_witness
+from .witnesses import WITNESS_KINDS, build_witnesses, validate_witness
 
 DEFAULT_GRIDS: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
     "pxp": ((3, 6), (3, 6)),
@@ -53,7 +52,6 @@ class SweepRow:
     witnesses_valid: bool | None
     layer_bounds_pass: bool | None
     cut_classes: str | None                  # "pass" | "fail" | "skip" (g=0 only)
-    runtime_ms: float
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,6 @@ def _cell_grid(config: SweepConfig, family: str) -> list[tuple[int, int]]:
 
 def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
     family, m, n, config = args
-    t0 = time.perf_counter()
     # each cell starts with an empty factor-connectivity cache, so it does the
     # same work whichever cells ran before it in this process, serial or pooled
     classical_connectivity.cache_clear()
@@ -95,23 +92,16 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
         params = FamilyParams(family, m, n, g)
         if g <= limit:
             formula[g] = kappa_formula(params).value
-            sizes[g] = {}
+            cuts = build_witnesses(params)
+            sizes[g] = {w: None if c is None else len(c) for w, c in cuts.items()}
+            built = [c for c in cuts.values() if c is not None]
             ok = True
-            seen_any = False
-            for which in WITNESS_KINDS:
-                try:
-                    cut = build_witness(plan_witness(params, which))
-                except (WitnessError, DomainError):
-                    sizes[g][which] = None
-                    continue
-                sizes[g][which] = len(cut)
-                seen_any = True
-                verdict = validate_witness(pg, cut, g)
-                if verdict.is_g_extra:
+            for cut in built:
+                if validate_witness(pg, cut, g).is_g_extra:
                     seeds[g] = min(seeds.get(g, len(cut)), len(cut))
                 else:
                     ok = False
-            valid[g] = ok if seen_any else None
+            valid[g] = ok if built else None
         else:
             formula[g] = None
             sizes[g] = {w: None for w in WITNESS_KINDS}
@@ -148,10 +138,9 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
                 classes = "pass" if ok_cls else "fail"
         if classes is None and g == 0:
             classes = "skip"
-        runtime = (time.perf_counter() - t0) * 1000.0
         rows.append(SweepRow(
             family, m, n, g, g <= limit, fv, ov, agree,
-            tuple(sizes[g].items()), valid[g], layer_pass, classes, runtime))
+            tuple(sizes[g].items()), valid[g], layer_pass, classes))
     return rows
 
 
@@ -213,7 +202,6 @@ def to_json_dict(report: SweepReport) -> dict:
                 "witnesses_valid": r.witnesses_valid,
                 "layer_bounds_pass": r.layer_bounds_pass,
                 "cut_classes": r.cut_classes,
-                "runtime_ms": r.runtime_ms,
             }
             for r in report.rows
         ],

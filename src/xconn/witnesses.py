@@ -98,16 +98,13 @@ def _block_pxp(params: FamilyParams) -> tuple[int, ...]:
 
 def _block_cxp(params: FamilyParams) -> tuple[int, ...]:
     x = params.g + 1
-    best = None
+    best_size, candidates = None, []
     for a in range(1, ceil_mul_sqrt(2, 2 * x) + 3):
         b = ceil_div(x, a)
         size = a + 2 * b + 2
-        if best is None or size < best[0]:
-            best = (size, a, b)
-    candidates = []
-    for a in range(1, ceil_mul_sqrt(2, 2 * x) + 3):
-        b = ceil_div(x, a)
-        if a + 2 * b + 2 == best[0]:
+        if best_size is None or size < best_size:
+            best_size, candidates = size, []
+        if size == best_size:
             candidates.append((a, b))
     for a, b in candidates:
         if a + 1 <= params.m - 1 and b <= params.n - 1:
@@ -147,13 +144,18 @@ def validate_witness(pg: ProductGraph, cut: Iterable[int], extra: int) -> CutVer
     return check_g_extra_cut(pg.graph, cut, extra)
 
 
-def witness_sizes(params: FamilyParams) -> dict[str, int | None]:
-    """Actual sizes of all constructible witnesses (None where refused)."""
-    out: dict[str, int | None] = {}
+def build_witnesses(params: FamilyParams) -> dict[str, tuple[int, ...] | None]:
+    """Every witness kind's cut for these parameters (None where refused)."""
+    out: dict[str, tuple[int, ...] | None] = {}
     for which in WITNESS_KINDS:
         try:
-            spec = plan_witness(params, which)
-            out[which] = len(build_witness(spec))
+            out[which] = build_witness(plan_witness(params, which))
         except (WitnessError, DomainError):
             out[which] = None
     return out
+
+
+def witness_sizes(params: FamilyParams) -> dict[str, int | None]:
+    """Actual sizes of all constructible witnesses (None where refused)."""
+    return {which: None if cut is None else len(cut)
+            for which, cut in build_witnesses(params).items()}

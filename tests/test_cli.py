@@ -157,10 +157,16 @@ def test_identical_invocations_identical_bytes(capsys):
     first = out_of(capsys)
     assert run(args) == 0
     second = out_of(capsys)
-    # stats carry timing; everything else must match exactly
-    a, b = json.loads(first), json.loads(second)
-    a.pop("stats"), b.pop("stats")
-    assert a == b
+    assert first == second
+
+
+def test_sweep_json_is_the_same_serial_and_pooled(capsys):
+    args = ["sweep", "--families", "pxp", "--m-range", "3:4", "--n-range", "3:3",
+            "--format", "json"]
+    assert run(args + ["--threads", "1"]) == 0
+    serial = out_of(capsys)
+    assert run(args + ["--threads", "2"]) == 0
+    assert out_of(capsys) == serial
 
 
 @pytest.mark.parametrize("doc", ['{"n": 3}', '{"n": 3, "edges": 5}', '[1, 2]',

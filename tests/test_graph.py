@@ -1,5 +1,7 @@
+import networkx as nx
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from strategies import connected_graphs, graphs_with_vertex_sets
 from xconn.graph import (Graph, components, from_edges, from_json, induced_subgraph,
@@ -166,3 +168,20 @@ def test_induced_subgraph_preserves_adjacency(gv):
     for a in range(sub.n):
         for b in range(a + 1, sub.n):
             assert (b in sub.adj[a]) == (remap[b] in g.adj[remap[a]])
+
+
+@given(connected_graphs(max_n=10), st.data())
+def test_components_match_networkx(g, data):
+    removed = data.draw(st.sets(st.integers(0, g.n - 1)))
+    rest = nx.Graph(g.edges)
+    rest.add_nodes_from(range(g.n))
+    rest.remove_nodes_from(removed)
+    expected = sorted(tuple(sorted(c)) for c in nx.connected_components(rest))
+    assert components(g, removed) == expected
+
+
+def test_components_rejects_out_of_range_vertices():
+    with pytest.raises(ValueError):
+        components(make_path(3), {3})
+    with pytest.raises(ValueError):
+        components(make_path(3), {-1})

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import connected_graphs
-from xconn.graph import (Graph, components, induced_subgraph, is_complete, make_cycle,
-                         make_path, min_degree)
+from xconn.graph import (Graph, components, from_edges, induced_subgraph, is_complete,
+                         make_cycle, make_path, min_degree)
 from xconn.products import (FAMILIES, cartesian_product, classify_cut, family_product,
-                            from_json, layer, make_i_set, make_l_set, slice_of_set,
-                            strong_product, to_json, verify_product_structure)
+                            from_json, layer, make_i_set, make_l_set, render_coords,
+                            slice_of_set, strong_product, to_json, verify_product_structure)
 from xconn.solver import enumerate_min_cuts
 
 
@@ -242,3 +242,18 @@ def test_product_generators_take_no_part_in_equality_or_json():
     assert pg.graph == bare and hash(pg.graph) == hash(bare)
     back = from_json(to_json(pg))
     assert back == pg and back.graph.automorphisms == ()
+
+
+def test_family_product_rejects_unknown_kind():
+    assert family_product("pxp", 3, 3, "cartesian").kind == "cartesian"
+    for kind in ("Strong", "tensor", ""):
+        with pytest.raises(ValueError):
+            family_product("pxp", 3, 3, kind)
+
+
+def test_render_coords_labelled_and_unlabelled():
+    labelled = family_product("cxp", 4, 3)
+    assert render_coords(labelled, [5, 0, 5]) == "(x0,y1) (x1,y3)"
+    unlabelled = strong_product(from_edges(2, [(0, 1)]), from_edges(3, [(0, 1), (1, 2)]))
+    assert unlabelled.graph.labels is None
+    assert render_coords(unlabelled, [4, 1]) == "(0,1) (1,1)"

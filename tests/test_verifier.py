@@ -1,6 +1,7 @@
 from pathlib import Path
 
 from xconn import solver
+from xconn.cli import run
 from xconn.graph import make_cycle, make_path
 from xconn.products import family_product
 from xconn.solver import INFINITY
@@ -62,7 +63,8 @@ def test_json_report_shape():
                                          n_range=(3, 3))))
     row = doc["rows"][0]
     assert {"family", "m", "n", "g", "formula", "oracle", "agree",
-            "witness_sizes", "runtime_ms"} <= set(row)
+            "witness_sizes"} <= set(row)
+    assert "runtime_ms" not in row
 
 
 def test_min_cut_classification_small_products():
@@ -81,6 +83,11 @@ def test_cartesian_connectivity_formula():
 def test_default_sweep_matches_reference_csv():
     # the committed output of `xconn sweep --threads 1 --format csv`
     assert to_csv(sweep(SweepConfig(), threads=1)) == REFERENCE_CSV.read_text()
+
+
+def test_pooled_cli_sweep_matches_reference_csv(capsys):
+    assert run(["sweep", "--threads", "2", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == REFERENCE_CSV.read_text()
 
 
 def count_fragment_searches(monkeypatch) -> list[int]:

@@ -1,10 +1,12 @@
 import pytest
 
-from xconn.formulas import DomainError, FamilyParams, formula_terms, guard_limit
+from xconn.formulas import (DomainError, FamilyParams, ceil_div, ceil_mul_sqrt,
+                            formula_terms, guard_limit)
 from xconn.products import family_product
 from xconn.solver import kappa_extra_fragment
-from xconn.witnesses import (WitnessError, block_constructible, build_witness,
-                             plan_witness, validate_witness, witness_sizes)
+from xconn.witnesses import (WITNESS_KINDS, WitnessError, _block_cxp, block_constructible,
+                             build_witness, build_witnesses, plan_witness,
+                             validate_witness, witness_sizes)
 
 
 def coords(params, cut):
@@ -104,3 +106,48 @@ def test_all_witnesses_validate_on_small_grid():
             if sizes["block"] is not None:
                 cut = build_witness(plan_witness(params, "block"))
                 assert validate_witness(pg, cut, g).is_g_extra
+
+
+def test_build_witnesses_agrees_with_witness_sizes():
+    for fam, m, n in [("pxp", 3, 3), ("pxp", 5, 6), ("cxp", 4, 3), ("cxp", 7, 5),
+                      ("cxc", 4, 5), ("cxc", 6, 6)]:
+        for g in range(0, guard_limit(fam, m, n) + 2):
+            params = FamilyParams(fam, m, n, g)
+            cuts = build_witnesses(params)
+            assert tuple(cuts) == WITNESS_KINDS
+            assert witness_sizes(params) == {
+                which: None if cut is None else len(cut) for which, cut in cuts.items()}
+            for which, cut in cuts.items():
+                if cut is not None:
+                    assert cut == build_witness(plan_witness(params, which))
+
+
+def block_cxp_two_pass(params):
+    """The cylinder block as first written: find the least boundary size over
+    the interval length a, then take the first a of that size that fits."""
+    x = params.g + 1
+    lengths = range(1, ceil_mul_sqrt(2, 2 * x) + 3)
+    best = min(a + 2 * ceil_div(x, a) + 2 for a in lengths)
+    for a in lengths:
+        b = ceil_div(x, a)
+        if a + 2 * b + 2 == best and a + 1 <= params.m - 1 and b <= params.n - 1:
+            pairs = [(r, j) for r in (0, a + 1) for j in range(b + 1)]
+            pairs += [(i, b) for i in range(1, a + 1)]
+            return tuple(sorted(i * params.n + j for i, j in pairs))
+    return None
+
+
+def test_block_cxp_matches_the_two_pass_construction():
+    cells = refused = 0
+    for m in range(4, 9):
+        for n in range(3, 7):
+            for g in range(0, guard_limit("cxp", m, n) + 1):
+                params = FamilyParams("cxp", m, n, g)
+                try:
+                    cut = _block_cxp(params)
+                except WitnessError:
+                    cut = None
+                assert cut == block_cxp_two_pass(params), (m, n, g)
+                cells += 1
+                refused += cut is None
+    assert (cells, refused) == (152, 9)
