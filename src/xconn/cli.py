@@ -49,11 +49,11 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_any(path: str) -> tuple[graphmod.Graph, ProductGraph | None]:
     with open(path) as fh:
-        text = fh.read()
-    if '"product"' in text:
-        pg = productsmod.from_json(text)
+        doc = json.load(fh)
+    if isinstance(doc, dict) and "product" in doc:
+        pg = productsmod.from_doc(doc)
         return pg.graph, pg
-    return graphmod.from_json(text), None
+    return graphmod.from_doc(doc), None
 
 
 def _parse_cut(text: str) -> tuple[int, ...]:
@@ -163,33 +163,24 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def cmd_classify_cut(args) -> int:
-    g, pg = _resolve_graph(args)
+def _resolve_product(args) -> ProductGraph:
+    _, pg = _resolve_graph(args)
     if pg is None:
-        print("error: classify-cut needs a product graph", file=sys.stderr)
-        return EXIT_USAGE
-    cut = _parse_cut(args.cut)
-    try:
-        cls = classify_cut(pg, cut)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"{args.command} needs a product graph")
+    return pg
+
+
+def cmd_classify_cut(args) -> int:
+    pg = _resolve_product(args)
+    cls = classify_cut(pg, _parse_cut(args.cut))
     doc = {k: v for k, v in asdict(cls).items() if v is not None}
     _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_check_layers(args) -> int:
-    g, pg = _resolve_graph(args)
-    if pg is None:
-        print("error: check-layers needs a product graph", file=sys.stderr)
-        return EXIT_USAGE
-    cut = _parse_cut(args.cut)
-    try:
-        ok = check_layer_bounds(pg, cut, args.g)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    pg = _resolve_product(args)
+    ok = check_layer_bounds(pg, [_parse_cut(args.cut)], args.g)
     _emit(("pass" if ok else "fail") + "\n", args.out)
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -204,19 +195,22 @@ def cmd_sweep(args) -> int:
     families = tuple(args.families.split(",")) if args.families else FAMILIES
     for fam in families:
         if fam not in FAMILIES:
-            print(f"error: unknown family {fam!r}", file=sys.stderr)
-            return EXIT_USAGE
-    def parse_range(text):
+            raise ValueError(f"unknown family {fam!r}")
+
+    def parse_range(flag, text):
         if not text:
             return None
-        lo, hi = text.split(":")
-        return (int(lo), int(hi))
+        try:
+            lo, hi = text.split(":")
+            return (int(lo), int(hi))
+        except ValueError:
+            raise ValueError(f"{flag} {text!r} is not lo:hi") from None
     explicit = None
     if args.g_list:
         explicit = tuple(int(p) for p in args.g_list.split(","))
     config = SweepConfig(families=families,
-                         m_range=parse_range(args.m_range),
-                         n_range=parse_range(args.n_range),
+                         m_range=parse_range("--m-range", args.m_range),
+                         n_range=parse_range("--n-range", args.n_range),
                          explicit_g=explicit)
     report = sweep(config, threads=args.threads)
     if args.format == "json":
@@ -315,10 +309,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"out of domain: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except WitnessError as exc:
+    except (DomainError, WitnessError) as exc:
         print(f"out of domain: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except InconclusiveError as exc:

@@ -19,8 +19,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import (Graph, components, from_doc, from_edges, induced_subgraph, make_cycle,
-                    make_path)
+from .graph import (Graph, components, from_edges, induced_subgraph, make_cycle, make_path)
+from .graph import from_doc as graph_from_doc
 
 
 @dataclass(frozen=True)
@@ -266,8 +266,12 @@ def to_json(pg: ProductGraph) -> str:
 
 def from_json(text: str) -> ProductGraph:
     """Parse a product document; a malformed one raises ValueError."""
-    doc = json.loads(text)
-    graph = from_doc(doc)
+    return from_doc(json.loads(text))
+
+
+def from_doc(doc: object) -> ProductGraph:
+    """Build a product from an already parsed product document."""
+    graph = graph_from_doc(doc)
     try:
         meta = doc["product"]
         m, n, kind = meta["m"], meta["n"], meta["kind"]

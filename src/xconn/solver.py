@@ -20,9 +20,9 @@ Both return the lexicographically smallest minimum cut as witness.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -324,18 +324,22 @@ def enumerate_min_cuts(graph: Graph, extra: int, known_value: int | None = None,
 
     ``known_value`` (e.g. from a solver) restricts the scan to that
     cardinality; without it, cardinalities are scanned from 1 upward.
-    Returns [] when no g-extra cut exists.  Raises InconclusiveError when the
-    scan would test more than ``max_checks`` subsets.
+    Returns [] when no g-extra cut exists.  Raises InconclusiveError before
+    starting a cardinality whose C(n, k) subsets would take the total past
+    ``max_checks``, so every cardinality it starts is scanned to the end.
     """
     _validate_solver_input(graph, extra)
     ks = [known_value] if known_value is not None else range(1, graph.n - 2 * (extra + 1) + 1)
-    found: list[tuple[int, ...]] = []
-    for _, combo in _subset_cuts(graph, extra, ks, max_checks):
-        if combo is not None:
-            found.append(combo)
-        elif found:
-            break
-    return found
+    done = 0
+    for k in ks:
+        if done + math.comb(graph.n, k) > max_checks:
+            raise InconclusiveError(f"C({graph.n}, {k}) subsets after {done} exceed "
+                                    f"max_checks {max_checks}", done)
+        done += math.comb(graph.n, k)
+        found = [c for _, c in _subset_cuts(graph, extra, [k], max_checks) if c is not None]
+        if found:
+            return found
+    return []
 
 
 def min_cuts_grouped(graph: Graph, value_by_extra: dict[int, int]
@@ -368,7 +372,6 @@ def min_cuts_grouped(graph: Graph, value_by_extra: dict[int, int]
     return {g: sorted(map(mask_to_tuple, cuts[g])) for g in extras}
 
 
-@functools.lru_cache(maxsize=32)
 def classical_connectivity(graph: Graph) -> int:
     """Vertex connectivity; |V|-1 for complete graphs by convention."""
     if graph.n == 0:
@@ -382,28 +385,25 @@ def classical_connectivity(graph: Graph) -> int:
     return int(value)
 
 
-def check_layer_bounds(pg: ProductGraph, cut: Iterable[int], extra: int) -> bool:
-    """Check the per-layer lower bounds a minimum g-extra cut must satisfy:
-    every nonempty slice in a factor-2 layer has at least kappa(factor 2)
-    vertices, and symmetrically for factor-1 layers.  Minimality of ``cut``
-    is the caller's responsibility; its g-extra validity is checked here.
+def check_layer_bounds(pg: ProductGraph, cuts: Iterable[Iterable[int]], extra: int) -> bool:
+    """Check the per-layer lower bounds that minimum g-extra cuts must satisfy:
+    every nonempty slice of a cut in a factor-2 layer has at least
+    kappa(factor 2) vertices, and symmetrically for factor-1 layers.
+
+    True when every cut in ``cuts`` passes (so True for none); the factor
+    connectivities are computed once per call.  Minimality is the caller's
+    responsibility; a cut that is not a g-extra cut raises ValueError.
     """
-    cut = frozenset(cut)
-    verdict = check_g_extra_cut(pg.graph, cut, extra)
-    if not verdict.is_g_extra:
+    cuts = [frozenset(cut) for cut in cuts]
+    if not all(check_g_extra_cut(pg.graph, cut, extra).is_g_extra for cut in cuts):
         raise ValueError("set is not a g-extra cut of the product")
     k1 = classical_connectivity(pg.factor1())
     k2 = classical_connectivity(pg.factor2())
-    row_counts = [0] * pg.m
-    col_counts = [0] * pg.n
-    for v in cut:
-        i, j = pg.coords(v)
-        row_counts[i] += 1
-        col_counts[j] += 1
-    # row i is the slice inside the factor-2 layer at x_i: bound kappa(G2)
-    if any(0 < c < k2 for c in row_counts):
-        return False
-    # column j is the slice inside the factor-1 layer at y_j: bound kappa(G1)
-    if any(0 < c < k1 for c in col_counts):
-        return False
+    for cut in cuts:
+        coords = [pg.coords(v) for v in cut]
+        # a row i is the slice inside the factor-2 layer at x_i: bound kappa(G2);
+        # a column j is the slice inside the factor-1 layer at y_j: bound kappa(G1)
+        if (any(c < k2 for c in Counter(i for i, _ in coords).values())
+                or any(c < k1 for c in Counter(j for _, j in coords).values())):
+            return False
     return True

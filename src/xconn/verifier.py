@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from .formulas import FamilyParams, FAMILY_MINS, guard_limit, kappa_formula
 from .graph import Graph, min_degree
 from .products import FAMILIES, ProductGraph, cartesian_product, classify_cut, family_product
-from .solver import (INFINITY, InconclusiveError, check_layer_bounds, classical_connectivity,
-                     enumerate_min_cuts, fragment_solve_many, min_cuts_grouped)
+from .solver import (INFINITY, check_layer_bounds, classical_connectivity, fragment_solve_many,
+                     kappa_extra_fragment, min_cuts_grouped)
 from .witnesses import WITNESS_KINDS, build_witnesses, validate_witness
 
 DEFAULT_GRIDS: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
@@ -26,6 +26,10 @@ DEFAULT_GRIDS: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
     "cxc": ((4, 5), (4, 5)),
 }
 
+MAX_VERTICES = 36       # cells above this are inconclusive
+ENUMERATE_LIMIT = 25    # min-cut enumeration vertex cap
+CLASSIFY_LIMIT = 16     # I/L classification vertex cap
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -33,9 +37,6 @@ class SweepConfig:
     m_range: tuple[int, int] | None = None   # None: family default grid
     n_range: tuple[int, int] | None = None
     explicit_g: tuple[int, ...] | None = None  # None: every in-guard g
-    max_vertices: int = 36                   # cells above this are inconclusive
-    enumerate_limit: int = 25                # min-cut enumeration vertex cap
-    classify_limit: int = 16                 # I/L classification vertex cap
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,6 @@ def _cell_grid(config: SweepConfig, family: str) -> list[tuple[int, int]]:
 
 def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
     family, m, n, config = args
-    # each cell starts with an empty factor-connectivity cache, so it does the
-    # same work whichever cells ran before it in this process, serial or pooled
-    classical_connectivity.cache_clear()
     pg = family_product(family, m, n)
     limit = guard_limit(family, m, n)
     if config.explicit_g is not None:
@@ -108,14 +106,14 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
             valid[g] = None
 
     oracle: dict[int, int | float | None]
-    if pg.graph.n <= config.max_vertices:
+    if pg.graph.n <= MAX_VERTICES:
         results = fragment_solve_many(pg.graph, gs, seeds)
         oracle = {g: results[g].value for g in gs}
     else:
         oracle = {g: None for g in gs}
 
     min_cuts: dict[int, list[tuple[int, ...]]] = {}
-    if pg.graph.n <= config.enumerate_limit:
+    if pg.graph.n <= ENUMERATE_LIMIT:
         finite = {g: int(v) for g, v in oracle.items()
                   if v is not None and v is not INFINITY}
         min_cuts = min_cuts_grouped(pg.graph, finite)
@@ -130,12 +128,9 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
         layer_pass: bool | None = None
         classes: str | None = None
         if g in min_cuts:
-            cuts = min_cuts[g]
-            layer_pass = all(check_layer_bounds(pg, c, g) for c in cuts)
-            if g == 0 and pg.graph.n <= config.classify_limit:
-                ok_cls = all(classify_cut(pg, c).verdict in ("i_set", "l_set")
-                             for c in cuts)
-                classes = "pass" if ok_cls else "fail"
+            layer_pass = check_layer_bounds(pg, min_cuts[g], g)
+            if g == 0 and pg.graph.n <= CLASSIFY_LIMIT:
+                classes = "pass" if _all_i_or_l_sets(pg, min_cuts[g]) else "fail"
         if classes is None and g == 0:
             classes = "skip"
         rows.append(SweepRow(
@@ -224,15 +219,22 @@ def report_failures(report: SweepReport) -> list[str]:
     return fails
 
 
-def check_min_cut_classification(pg: ProductGraph,
-                                 max_checks: int = 50_000_000) -> bool | None:
-    """True iff every minimum vertex cut (g=0) is an I-set or L-set;
-    None when enumeration is infeasible under the budget."""
-    try:
-        cuts = enumerate_min_cuts(pg.graph, 0, max_checks=max_checks)
-    except InconclusiveError:
-        return None
+def _all_i_or_l_sets(pg: ProductGraph, cuts: list[tuple[int, ...]]) -> bool:
     return all(classify_cut(pg, c).verdict in ("i_set", "l_set") for c in cuts)
+
+
+def check_min_cut_classification(pg: ProductGraph) -> bool:
+    """True iff every minimum vertex cut (g=0) is an I-set or an L-set
+    (Spacapan, Graphs Combin. 26, 2010); True when there is none.
+
+    The cuts come from one fragment solve, whose tie sets
+    ``min_cuts_grouped`` reads without a second search.  There is no budget:
+    InconclusiveError from the search propagates, as from every fragment
+    entry point."""
+    value = kappa_extra_fragment(pg.graph, 0).value
+    if value is INFINITY:  # complete graph: no vertex cut
+        return True
+    return _all_i_or_l_sets(pg, min_cuts_grouped(pg.graph, {0: int(value)})[0])
 
 
 def check_cartesian_connectivity(g1: Graph, g2: Graph) -> bool:

@@ -264,7 +264,7 @@ def test_criterion_09_layer_bounds():
                     bad.append(f"{family} m={m} n={n} g={g}: no cuts enumerated")
                 for cut in cuts:
                     cuts_checked += 1
-                    if not check_layer_bounds(pg, cut, g):
+                    if not check_layer_bounds(pg, [cut], g):
                         bad.append(f"{family} m={m} n={n} g={g}: {cut} violates "
                                    "layer bounds")
     report(9, not bad, f"{cuts_checked} minimum cuts checked on both axes")

@@ -189,6 +189,33 @@ def test_malformed_product_json_exits_1(tmp_path, capsys, meta):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_graph_labelled_product_is_not_a_product(tmp_path, capsys):
+    path = tmp_path / "labelled.json"
+    path.write_text('{"n": 2, "edges": [[0, 1]], "labels": ["product", "b"]}')
+    assert run(["exact", "--file", str(path), "--g", "0"]) == 0
+    assert out_of(capsys) == "kappa_0 = infinity\n"
+
+
+@pytest.mark.parametrize("text", ["3", "3:x", "1:2:3"])
+def test_sweep_range_not_lo_hi_reports_error(capsys, text):
+    assert run(["sweep", "--families", "pxp", "--m-range", text, "--threads", "1"]) == 1
+    assert capsys.readouterr().err == f"error: --m-range {text!r} is not lo:hi\n"
+
+
+def test_unknown_sweep_family_reports_error(capsys):
+    assert run(["sweep", "--families", "pxp,torus", "--threads", "1"]) == 1
+    assert capsys.readouterr().err == "error: unknown family 'torus'\n"
+
+
+def test_product_command_needs_a_product(tmp_path, capsys):
+    path = tmp_path / "p3.json"
+    assert run(["gen", "--family", "path", "--n", "3", "--out", str(path)]) == 0
+    assert run(["classify-cut", "--file", str(path), "--cut", "1"]) == 1
+    assert capsys.readouterr().err == "error: classify-cut needs a product graph\n"
+    assert run(["check-layers", "--file", str(path), "--g", "0", "--cut", "1"]) == 1
+    assert capsys.readouterr().err == "error: check-layers needs a product graph\n"
+
+
 def test_unparsable_cut_reports_error(capsys):
     assert run(["classify-cut", "--family", "pxp", "--m", "3", "--n", "3",
                 "--cut", "1,x"]) == 1

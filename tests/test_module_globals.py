@@ -67,6 +67,13 @@ def test_no_undefined_globals():
 
 
 def test_decorated_functions_are_checked():
-    from xconn import solver
-    checked = set(own_functions(solver))
-    assert solver.classical_connectivity.__wrapped__ in checked
+    # a throwaway module whose only function hides behind an lru_cache wrapper
+    module = types.ModuleType("cached_mod")
+    module.__file__ = "<cached_mod>"
+    source = ("import functools\n\n"
+              "@functools.lru_cache\n"
+              "def lookup(x):\n"
+              "    return not_defined_anywhere + x\n")
+    exec(compile(source, module.__file__, "exec"), vars(module))
+    assert module.lookup.__wrapped__ in set(own_functions(module))
+    assert undefined_globals(module) == ["cached_mod.lookup -> not_defined_anywhere"]

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import networkx as nx
 import pytest
@@ -149,6 +150,16 @@ def test_enumerate_min_cuts_known_value_and_budget():
         enumerate_min_cuts(g, 0, max_checks=10)
 
 
+def test_enumerate_min_cuts_refuses_before_scanning():
+    # C(36, 12) = 1,251,677,700 subsets exceed the budget, so no scan starts
+    g = family_product("cxc", 6, 6).graph
+    start = time.process_time()
+    with pytest.raises(InconclusiveError) as exc:
+        enumerate_min_cuts(g, 0, known_value=12, max_checks=10 ** 6)
+    assert time.process_time() - start < 0.5
+    assert exc.value.checks_done == 0
+
+
 def test_min_cuts_grouped_matches_per_extra_enumeration():
     g = family_product("cxp", 4, 3).graph
     values = {extra: int(kappa_extra_fragment(g, extra).value) for extra in (0, 1, 2)}
@@ -238,7 +249,7 @@ def test_classical_connectivity_known_values():
 def test_classical_connectivity_cache_matches_a_fresh_solve(g):
     fresh = kappa_extra_fragment(g, 0).value
     expected = g.n - 1 if fresh is INFINITY else fresh
-    # the second call, on an equal graph object, is answered from the cache
+    # an equal graph object, built separately, gets the same answer
     assert classical_connectivity(g) == classical_connectivity(dataclasses.replace(g)) == expected
 
 
@@ -251,14 +262,27 @@ def test_kappa0_equals_classical_connectivity():
 def test_check_layer_bounds():
     pg = family_product("pxp", 3, 3)
     column = [pg.id(i, 1) for i in range(3)]
-    assert check_layer_bounds(pg, column, 0)
+    assert check_layer_bounds(pg, [column], 0)
 
     cxc = family_product("cxc", 4, 4)
     for cut in enumerate_min_cuts(cxc.graph, 0):
-        assert check_layer_bounds(cxc, cut, 0)
+        assert check_layer_bounds(cxc, [cut], 0)
 
     with pytest.raises(ValueError):
-        check_layer_bounds(pg, [0], 0)  # not a g-extra cut
+        check_layer_bounds(pg, [[0]], 0)  # not a g-extra cut
+
+
+def test_check_layer_bounds_batch():
+    cxc = family_product("cxc", 4, 4)
+    good = enumerate_min_cuts(cxc.graph, 0)
+    assert check_layer_bounds(cxc, good, 0)
+    assert check_layer_bounds(cxc, [], 0)
+    # columns 0 and 2 plus one vertex of column 1: a 0-extra cut (it leaves
+    # 3 + 4 vertices) whose column-1 slice has 1 < kappa(C4) = 2 vertices
+    bad = [cxc.id(i, j) for i in range(4) for j in (0, 2)] + [cxc.id(0, 1)]
+    assert not check_layer_bounds(cxc, good + [bad], 0)
+    with pytest.raises(ValueError):
+        check_layer_bounds(cxc, good + [[cxc.id(0, 0)]], 0)  # not a g-extra cut
 
 
 def test_min_cut_neighbourhood_anchor_on_family_instances():

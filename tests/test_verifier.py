@@ -3,8 +3,8 @@ from pathlib import Path
 from xconn import solver
 from xconn.cli import run
 from xconn.graph import make_cycle, make_path
-from xconn.products import family_product
-from xconn.solver import INFINITY
+from xconn.products import classify_cut, family_product
+from xconn.solver import INFINITY, enumerate_min_cuts
 from xconn.verifier import (SweepConfig, _evaluate_cell, check_cartesian_connectivity,
                             check_min_cut_classification, report_failures, sweep,
                             to_csv, to_json_dict)
@@ -68,10 +68,13 @@ def test_json_report_shape():
 
 
 def test_min_cut_classification_small_products():
-    assert check_min_cut_classification(family_product("pxp", 3, 3)) is True
-    assert check_min_cut_classification(family_product("cxp", 4, 3)) is True
-    assert check_min_cut_classification(family_product("pxp", 3, 3),
-                                        max_checks=2) is None
+    for family, m, n in (("pxp", 3, 3), ("cxp", 4, 3), ("cxc", 4, 4)):
+        pg = family_product(family, m, n)
+        brute = all(classify_cut(pg, c).verdict in ("i_set", "l_set")
+                    for c in enumerate_min_cuts(pg.graph, 0))
+        assert check_min_cut_classification(pg) is brute is True
+    # 25 vertices, above the sweep's classification cap of 16
+    assert check_min_cut_classification(family_product("cxc", 5, 5)) is True
 
 
 def test_cartesian_connectivity_formula():
@@ -113,8 +116,8 @@ def test_each_cell_runs_one_fragment_search_of_the_product(monkeypatch):
 
 
 def test_a_cell_repeats_the_same_searches(monkeypatch):
-    # cached factor connectivities do not carry over from an earlier cell, so
-    # serial and pooled sweeps do the same work per cell
+    # nothing carries over from an earlier cell, so serial and pooled sweeps
+    # do the same work per cell
     orders = count_fragment_searches(monkeypatch)
     runs = []
     for _ in range(2):
