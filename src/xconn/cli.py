@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen, product, exact, formula, witness, classify-cut,
-check-layers, sweep.  Exit codes: 0 success, 1 usage or input error,
-2 outside the asserted closed-form domain, 3 inconclusive (budget or
+check-layers, identity, sweep.  Exit codes: 0 success, 1 usage or input
+error, 2 outside the asserted closed-form domain, 3 inconclusive (budget or
 recursion limit), 4 verification failure.  No subcommand uses randomness,
 so identical invocations produce identical bytes.
 """
@@ -207,7 +207,11 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"{flag} {text!r} is not lo:hi") from None
     explicit = None
     if args.g_list:
-        explicit = tuple(int(p) for p in args.g_list.split(","))
+        try:
+            explicit = tuple(int(p) for p in args.g_list.split(","))
+        except ValueError:
+            raise ValueError(f"--g-list {args.g_list!r} is not a comma-separated "
+                             "list of integers") from None
     config = SweepConfig(families=families,
                          m_range=parse_range("--m-range", args.m_range),
                          n_range=parse_range("--n-range", args.n_range),

@@ -109,9 +109,6 @@ def kappa_formula(params: FamilyParams) -> FormulaResult:
     return FormulaResult(value, tuple(terms.items()), active)
 
 
-SMALL_CASES = ("p1p", "p2p", "c3p", "c3c")
-
-
 def small_case_limit(which: str, n: int) -> int:
     """Largest g for which the degenerate-family value is asserted."""
     if which == "p1p":

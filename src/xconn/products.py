@@ -201,8 +201,9 @@ class CutClassification:
 def classify_cut(pg: ProductGraph, cut: Iterable[int]) -> CutClassification:
     """Classify a vertex cut of the product as i_set, l_set, or neither.
 
-    Decompositions are tried in a fixed order (I on factor 1, I on factor 2,
-    then L recovered from the row slices), so verdicts are deterministic.
+    Candidate certificates are tried in a fixed order (I on factor 1, I on
+    factor 2, then L recovered from the two distinct row slices), and the
+    first that rebuilds to the cut is returned, so verdicts are deterministic.
     """
     s = frozenset(cut)
     for v in s:
@@ -211,39 +212,27 @@ def classify_cut(pg: ProductGraph, cut: Iterable[int]) -> CutClassification:
     if len(components(pg.graph, s)) < 2:
         raise ValueError("set is not a vertex cut of the product")
 
-    f1, f2 = pg.factor1(), pg.factor2()
-    rows = [frozenset(j for j in range(pg.n) if pg.id(i, j) in s) for i in range(pg.m)]
-    cols = [frozenset(i for i in range(pg.m) if pg.id(i, j) in s) for j in range(pg.n)]
-    full2 = frozenset(range(pg.n))
-    full1 = frozenset(range(pg.m))
-
-    s1 = frozenset(i for i in range(pg.m) if rows[i] == full2)
-    if s1 and all(rows[i] in (full2, frozenset()) for i in range(pg.m)) \
-            and _is_vertex_cut(f1, s1):
-        return CutClassification("i_set", axis="factor1", factor_cut=tuple(sorted(s1)))
-
-    s2 = frozenset(j for j in range(pg.n) if cols[j] == full1)
-    if s2 and all(cols[j] in (full1, frozenset()) for j in range(pg.n)) \
-            and _is_vertex_cut(f2, s2):
-        return CutClassification("i_set", axis="factor2", factor_cut=tuple(sorted(s2)))
-
+    rows = [tuple(j for j in range(pg.n) if pg.id(i, j) in s) for i in range(pg.m)]
+    full_cols = tuple(j for j in range(pg.n) if all(pg.id(i, j) in s for i in range(pg.m)))
+    candidates = [
+        CutClassification("i_set", axis="factor1",
+                          factor_cut=tuple(i for i in range(pg.m) if len(rows[i]) == pg.n)),
+        CutClassification("i_set", axis="factor2", factor_cut=full_cols),
+    ]
     distinct = sorted({r for r in rows if r}, key=len)
-    if len(distinct) == 2 and distinct[0] < distinct[1]:
+    if len(distinct) == 2:
         cut2, big = distinct
-        comp2 = big - cut2
-        rows1 = frozenset(i for i in range(pg.m) if rows[i] == big)
-        rows_a1 = frozenset(i for i in range(pg.m) if rows[i] == cut2)
-        if (_is_vertex_cut(f2, cut2)
-                and tuple(sorted(comp2)) in components(f2, cut2)
-                and _is_vertex_cut(f1, rows1)
-                and tuple(sorted(rows_a1)) in components(f1, rows1)):
-            cert = CutClassification(
-                "l_set",
-                s1=tuple(sorted(rows1)), a1=tuple(sorted(rows_a1)),
-                s2=tuple(sorted(cut2)), a2=tuple(sorted(comp2)),
-            )
+        candidates.append(CutClassification(
+            "l_set",
+            s1=tuple(i for i in range(pg.m) if rows[i] == big),
+            a1=tuple(i for i in range(pg.m) if rows[i] == cut2),
+            s2=cut2, a2=tuple(sorted(set(big) - set(cut2)))))
+    for cert in candidates:
+        try:
             if frozenset(cert.rebuild(pg)) == s:
                 return cert
+        except ValueError:  # a certificate whose preconditions fail
+            continue
     return CutClassification("neither")
 
 

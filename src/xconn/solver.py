@@ -15,7 +15,8 @@ Two independent routes compute the same quantity:
   absorption step matters: for g >= 1 a minimum cut may contain vertices
   with no neighbour outside the cut, so N(H) alone can undershoot.)
 
-Both return the lexicographically smallest minimum cut as witness.
+Both return the lexicographically smallest minimum cut as witness; a
+fragment result also carries every minimum cut.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ class ExtraConnResult:
     witness: tuple[int, ...] | None
     solver: str  # "subset" | "fragment"
     stats: SolverStats
+    # every minimum cut in lexicographic order (fragment solver); None when
+    # the solver stopped at its first cut
+    cuts: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.value is not INFINITY and self.witness is not None:
@@ -269,11 +273,6 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
     return ties, best, nodes
 
 
-# The last solve: (graph, ties, best) of fragment_solve_many's final pass.
-# min_cuts_grouped reads it when asked about the same graph object.
-_last_solve: tuple[Graph, dict[int, set[int]], dict[int, float]] | None = None
-
-
 def fragment_solve_many(graph: Graph, extras: Sequence[int],
                         upper_bounds: dict[int, int] | None = None
                         ) -> dict[int, ExtraConnResult]:
@@ -282,9 +281,9 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
     ``upper_bounds`` seeds pruning with certified cut sizes (e.g. validated
     witness constructions); if a seed turns out too small the affected values
     are recomputed unseeded, so results never depend on seed correctness.
-    The pass's tie sets are kept for ``min_cuts_grouped`` on the same graph.
+    Each result carries every minimum cut of its g, so ``min_cuts_grouped``
+    can read them without a second search.
     """
-    global _last_solve
     extras = sorted(set(extras))
     for g in extras:
         _validate_solver_input(graph, g)
@@ -299,15 +298,14 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
         nodes += nodes2
         for g in retry:
             ties[g], best[g] = ties2[g], best2[g]
-    _last_solve = (graph, ties, best)
     out: dict[int, ExtraConnResult] = {}
     for g in extras:
         stats = SolverStats(nodes)
         if not ties[g]:
-            out[g] = ExtraConnResult(g, INFINITY, None, "fragment", stats)
+            out[g] = ExtraConnResult(g, INFINITY, None, "fragment", stats, ())
         else:
-            out[g] = ExtraConnResult(g, int(best[g]), min(map(mask_to_tuple, ties[g])),
-                                     "fragment", stats)
+            cuts = tuple(sorted(map(mask_to_tuple, ties[g])))
+            out[g] = ExtraConnResult(g, int(best[g]), cuts[0], "fragment", stats, cuts)
     return out
 
 
@@ -342,34 +340,28 @@ def enumerate_min_cuts(graph: Graph, extra: int, known_value: int | None = None,
     return []
 
 
-def min_cuts_grouped(graph: Graph, value_by_extra: dict[int, int]
+def min_cuts_grouped(graph: Graph, value_by_extra: dict[int, int],
+                     solved: dict[int, ExtraConnResult] | None = None
                      ) -> dict[int, list[tuple[int, ...]]]:
     """Minimum g-extra cuts for several extras at once, in lexicographic order.
 
     ``value_by_extra[g]`` must be the known kappa_g (from a solver).  When
-    the last ``fragment_solve_many`` call solved this same graph object for
-    every requested g, its tie sets are the answer and no search runs.
-    Otherwise one fragment pass seeded with these values collects every cut
-    of that size, because each minimum cut is reconstructed from its
-    smallest component.
+    ``solved`` (``fragment_solve_many`` results for ``graph``) covers every
+    requested g, its cuts are the answer and no search runs.  Otherwise one
+    fragment pass seeded with these values collects every cut of that size,
+    because each minimum cut is reconstructed from its smallest component.
     Output matches ``enumerate_min_cuts(graph, g, known_value=...)`` per g.
     Raises ValueError when a value is not kappa_g.
     """
     if not value_by_extra:
         return {}
     extras = sorted(value_by_extra)
+    if solved is None or not all(g in solved and solved[g].cuts is not None for g in extras):
+        solved = fragment_solve_many(graph, extras, value_by_extra)
     for g in extras:
-        _validate_solver_input(graph, g)
-    entry = _last_solve
-    if entry is not None and entry[0] is graph and all(g in entry[1] for g in extras):
-        _, cuts, best = entry
-    else:
-        cuts, best, _ = _fragment_search(adjacency_masks(graph), graph.n, extras,
-                                         value_by_extra, graph.automorphisms)
-    for g in extras:
-        if not cuts[g] or best[g] != value_by_extra[g]:
+        if not solved[g].cuts or solved[g].value != value_by_extra[g]:
             raise ValueError(f"{value_by_extra[g]} is not kappa_{g} of the graph")
-    return {g: sorted(map(mask_to_tuple, cuts[g])) for g in extras}
+    return {g: list(solved[g].cuts) for g in extras}
 
 
 def classical_connectivity(graph: Graph) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .formulas import FamilyParams, FAMILY_MINS, guard_limit, kappa_formula
 from .graph import Graph, min_degree
@@ -116,7 +117,7 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
     if pg.graph.n <= ENUMERATE_LIMIT:
         finite = {g: int(v) for g, v in oracle.items()
                   if v is not None and v is not INFINITY}
-        min_cuts = min_cuts_grouped(pg.graph, finite)
+        min_cuts = min_cuts_grouped(pg.graph, finite, results)
 
     rows: list[SweepRow] = []
     for g in gs:
@@ -219,7 +220,7 @@ def report_failures(report: SweepReport) -> list[str]:
     return fails
 
 
-def _all_i_or_l_sets(pg: ProductGraph, cuts: list[tuple[int, ...]]) -> bool:
+def _all_i_or_l_sets(pg: ProductGraph, cuts: Iterable[tuple[int, ...]]) -> bool:
     return all(classify_cut(pg, c).verdict in ("i_set", "l_set") for c in cuts)
 
 
@@ -227,14 +228,11 @@ def check_min_cut_classification(pg: ProductGraph) -> bool:
     """True iff every minimum vertex cut (g=0) is an I-set or an L-set
     (Spacapan, Graphs Combin. 26, 2010); True when there is none.
 
-    The cuts come from one fragment solve, whose tie sets
-    ``min_cuts_grouped`` reads without a second search.  There is no budget:
+    The cuts come from one fragment solve.  There is no budget:
     InconclusiveError from the search propagates, as from every fragment
     entry point."""
-    value = kappa_extra_fragment(pg.graph, 0).value
-    if value is INFINITY:  # complete graph: no vertex cut
-        return True
-    return _all_i_or_l_sets(pg, min_cuts_grouped(pg.graph, {0: int(value)})[0])
+    # a complete graph has no vertex cut, so its cuts are empty
+    return _all_i_or_l_sets(pg, kappa_extra_fragment(pg.graph, 0).cuts)
 
 
 def check_cartesian_connectivity(g1: Graph, g2: Graph) -> bool:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from xconn import solver
 from xconn.cli import run
 
 
@@ -86,6 +87,25 @@ def test_witness_command(capsys):
     assert doc["size"] == doc["predicted_size"] == 5 and doc["is_g_extra_cut"]
     assert run(["witness", "--family", "cxc", "--m", "4", "--n", "4", "--g", "0",
                 "--which", "block"]) == 2  # not strictly minimal
+
+
+def test_witness_text_output(capsys):
+    assert run(["witness", "--family", "pxp", "--m", "4", "--n", "4", "--g", "1",
+                "--which", "layers1"]) == 0
+    assert out_of(capsys) == ("layers1 cut, size 4 (predicted 4)\n"
+                              "ids: 1 5 9 13\n"
+                              "coords: (x1,y2) (x2,y2) (x3,y2) (x4,y2)\n"
+                              "valid 1-extra cut: yes\n")
+
+
+def test_witness_dot_output_highlights_the_cut(capsys):
+    assert run(["witness", "--family", "pxp", "--m", "3", "--n", "3", "--g", "0",
+                "--which", "layers1", "--format", "dot"]) == 0
+    lines = out_of(capsys).splitlines()
+    assert lines[0] == "graph G {" and lines[-1] == "}"
+    filled = [line.split()[0] for line in lines if "fillcolor" in line]
+    assert filled == ["1", "4", "7"]
+    assert sum(" -- " in line for line in lines) == 20  # edges of P3 x P3
 
 
 def test_classify_cut_command(capsys):
@@ -200,6 +220,33 @@ def test_graph_labelled_product_is_not_a_product(tmp_path, capsys):
 def test_sweep_range_not_lo_hi_reports_error(capsys, text):
     assert run(["sweep", "--families", "pxp", "--m-range", text, "--threads", "1"]) == 1
     assert capsys.readouterr().err == f"error: --m-range {text!r} is not lo:hi\n"
+
+
+def test_sweep_g_list_not_integers_reports_error(capsys):
+    assert run(["sweep", "--families", "pxp", "--g-list", "0,x", "--threads", "1"]) == 1
+    assert capsys.readouterr().err == ("error: --g-list '0,x' is not a comma-separated "
+                                       "list of integers\n")
+
+
+def test_sweep_g_list_selects_sorted_distinct_g(capsys):
+    assert run(["sweep", "--families", "pxp", "--m-range", "3:3", "--n-range", "3:4",
+                "--g-list", "2,0,2", "--threads", "1"]) == 0
+    rows = [line.split(",")[:4] for line in out_of(capsys).splitlines()[1:]]
+    assert rows == [["pxp", "3", "3", "0"], ["pxp", "3", "3", "2"],
+                    ["pxp", "3", "4", "0"], ["pxp", "3", "4", "2"]]
+
+
+def test_sweep_cell_above_the_vertex_cap_runs_no_solve(capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("fragment search on a cell above MAX_VERTICES")
+
+    monkeypatch.setattr(solver, "_fragment_search", no_search)
+    assert run(["sweep", "--families", "cxc", "--m-range", "7:7", "--n-range", "6:6",
+                "--g-list", "0", "--threads", "1"]) == 0
+    captured = capsys.readouterr()
+    # 42 vertices: formula and witnesses only, blank oracle and agree
+    assert captured.out.splitlines()[1] == "cxc,7,6,0,1,8,,,14,12,8,1,,skip"
+    assert captured.err == ""
 
 
 def test_unknown_sweep_family_reports_error(capsys):

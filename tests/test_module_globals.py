@@ -1,10 +1,14 @@
-"""Every global name the xconn code reads must exist.
+"""Every global name the xconn code reads must exist, and none is written.
 
 ``import xconn`` succeeds even when a function refers to a name its module
 never imports or defines; the NameError only appears once that function
 runs.  This test reads the bytecode of every function and method defined in
 the package and checks each ``LOAD_GLOBAL`` name against the module's
 globals and the builtins, so such a slip fails the suite at once.
+
+The same bytecode walk rejects ``STORE_GLOBAL``: a function that writes a
+module global leaves state behind that a later call can read, so what a call
+returns would depend on the calls made before it.
 """
 
 import builtins
@@ -58,6 +62,30 @@ def undefined_globals(module: types.ModuleType) -> list[str]:
                         and not hasattr(builtins, ins.argval)):
                     missing.append(f"{module.__name__}.{code.co_qualname} -> {ins.argval}")
     return missing
+
+
+def stored_globals(module: types.ModuleType) -> list[str]:
+    return [f"{module.__name__}.{code.co_qualname} -> {ins.argval}"
+            for func in own_functions(module)
+            for code in code_objects(func.__code__)
+            for ins in dis.get_instructions(code)
+            if ins.opname in ("STORE_GLOBAL", "DELETE_GLOBAL")]
+
+
+def test_no_function_writes_a_module_global():
+    stored = [entry for module in MODULES for entry in stored_globals(module)]
+    assert stored == [], stored
+
+
+def test_a_global_statement_is_caught():
+    module = types.ModuleType("memo_mod")
+    module.__file__ = "<memo_mod>"
+    source = ("_memo = None\n\n"
+              "def remember(x):\n"
+              "    global _memo\n"
+              "    _memo = x\n")
+    exec(compile(source, module.__file__, "exec"), vars(module))
+    assert stored_globals(module) == ["memo_mod.remember -> _memo"]
 
 
 def test_no_undefined_globals():

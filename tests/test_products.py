@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,26 @@ def test_classify_rejects_non_cut():
     pg = family_product("pxp", 3, 3)
     with pytest.raises(ValueError):
         classify_cut(pg, {0})
+
+
+@pytest.mark.parametrize("family,m,n,counts", [
+    ("pxp", 3, 3, {"i_set": 2, "l_set": 4, "neither": 117}),
+    ("pxp", 3, 4, {"i_set": 6, "l_set": 20, "neither": 1441}),
+    ("cxp", 4, 3, {"i_set": 3, "l_set": 8, "neither": 490}),
+    ("cxc", 4, 4, {"i_set": 4, "l_set": 16, "neither": 2020}),
+])
+def test_classify_every_vertex_cut_of_small_products(family, m, n, counts):
+    pg = family_product(family, m, n)
+    verdicts = Counter()
+    for k in range(1, pg.graph.n - 1):
+        for cut in combinations(range(pg.graph.n), k):
+            if len(components(pg.graph, cut)) < 2:
+                continue
+            cls = classify_cut(pg, cut)
+            verdicts[cls.verdict] += 1
+            if cls.verdict != "neither":
+                assert cls.rebuild(pg) == cut
+    assert verdicts == counts
 
 
 def test_classify_all_min_cuts_of_small_products():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import connected_graphs
+from xconn import solver
 from xconn.formulas import DomainError, FamilyParams, guard_limit
 from xconn.graph import (Graph, components, from_edges, is_complete, make_cycle, make_path,
                          neighborhood)
@@ -212,7 +213,7 @@ def subset_values(g):
        st.sets(st.integers(0, 2), min_size=1), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_min_cuts_grouped_after_a_solve(a, b, solved, b_equals_a):
-    # the last solve answers only for its own graph object and solved extras
+    # a solve leaves no state behind that could answer for another graph
     if b_equals_a:
         b = dataclasses.replace(a)  # equal to a, but a distinct object
     fragment_solve_many(a, sorted(solved))
@@ -221,6 +222,36 @@ def test_min_cuts_grouped_after_a_solve(a, b, solved, b_equals_a):
         grouped = min_cuts_grouped(graph, values)
         assert grouped == {extra: enumerate_min_cuts(graph, extra, known_value=value)
                            for extra, value in values.items()}
+
+
+@given(connected_graphs(max_n=10))
+@settings(max_examples=60, deadline=None)
+def test_min_cuts_grouped_with_and_without_solved_results(g):
+    solved = fragment_solve_many(g, [0, 1, 2])
+    values = {extra: r.value for extra, r in solved.items() if r.value is not INFINITY}
+    expected = {extra: enumerate_min_cuts(g, extra, known_value=value)
+                for extra, value in values.items()}
+    assert min_cuts_grouped(g, values, solved) == min_cuts_grouped(g, values) == expected
+    assert all(list(solved[extra].cuts) == cuts for extra, cuts in expected.items())
+
+
+def test_factor_solves_leave_the_product_cuts_alone(monkeypatch):
+    pg = family_product("pxp", 3, 4)
+    results = fragment_solve_many(pg.graph, [0, 1])
+    values = {g: r.value for g, r in results.items()}
+    orders = []
+    search = solver._fragment_search
+
+    def counted(masks, n, *args, **kwargs):
+        orders.append(n)
+        return search(masks, n, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_fragment_search", counted)
+    assert classical_connectivity(pg.factor1()) == 1  # solves a 3-vertex path
+    grouped = min_cuts_grouped(pg.graph, values, results)
+    assert pg.graph.n not in orders and orders
+    assert grouped == {g: enumerate_min_cuts(pg.graph, g, known_value=v)
+                       for g, v in values.items()}
 
 
 @given(connected_graphs(min_n=2, max_n=10), st.integers(0, 2), st.sampled_from((-1, 1)))
@@ -359,7 +390,7 @@ def solve_and_group(graph, gs, seeds):
     results = fragment_solve_many(graph, gs, seeds)
     values = {g: int(r.value) for g, r in results.items() if r.value is not INFINITY}
     answers = {g: (r.value, r.witness) for g, r in results.items()}
-    return answers, min_cuts_grouped(graph, values)  # reads the solve's tie sets
+    return answers, min_cuts_grouped(graph, values, results)  # reads the solve's cuts
 
 
 DEFAULT_SMALL_CELLS = [(family, m, n) for family in FAMILIES
@@ -379,7 +410,7 @@ def test_orbit_rooting_keeps_every_answer_on_default_cells(family, m, n):
 def test_min_cuts_grouped_search_on_a_symmetric_graph(family, m, n, extras):
     pg = family_product(family, m, n)
     values = {g: int(kappa_extra_fragment(bare_copy(pg.graph), g).value) for g in extras}
-    grouped = min_cuts_grouped(pg.graph, values)  # not the last solved graph: searches
+    grouped = min_cuts_grouped(pg.graph, values)  # no solved results: searches
     assert grouped == {g: enumerate_min_cuts(pg.graph, g, known_value=values[g])
                        for g in extras}
 
