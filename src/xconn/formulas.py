@@ -197,69 +197,40 @@ def ceiling_identity(kind: str, g: int) -> bool:
 
 
 def verify_ceiling_identities(max_g: int) -> dict[str, list[int]]:
-    """Failing g values per identity kind over 0..max_g, in one fast pass.
+    """Failing g values per identity kind over 0..max_g, ascending.
 
-    All square-root ceilings are tracked incrementally through integer
-    thresholds (no per-g root extraction and no division in the hot loop),
-    which keeps the million-g sweep well under a second.
+    The same answer as ``ceiling_identity`` at every kind and g, from one pass
+    over x = g+1 and y = 2x.  Each ceiling is a running value stepped up until
+    its definition holds: ceil(c*sqrt(t)) is the least k with k*k >= c*c*t and
+    ceil(x/q) the least p with p*q >= x.  None decreases as x grows: p rises
+    while q = ceil(sqrt(x)) is constant, and where q steps up from q-1 to q
+    (at x = (q-1)^2 + 1) p is q-1 just before and just after; y likewise.
     """
     fails: dict[str, list[int]] = {k: [] for k in IDENTITY_KINDS}
-    f_pp, f_cp, f_cc = (fails["path_path"], fails["cycle_path"],
-                        fails["cycle_cycle"])
-    # running values for x = g+1: q = ceil(sqrt(x)), px = ceil(x/q),
-    # plus the squared thresholds deciding ceil(2*sqrt(x)) and ceil(4*sqrt(x))
-    q, q_sq = 1, 1
-    t2 = 1            # (2q-1)^2
-    t41, t42, t43 = 1, 4, 9   # (4q-3)^2, (4q-2)^2, (4q-1)^2
-    px, px_at = 1, 1  # px valid while x <= px_at
-    # same for y = 2x: qy = ceil(sqrt(y)), py = ceil(y/qy)
-    qy, qy_sq, t2y = 1, 1, 1
-    py, py_at = 1, 1
+    f_pp, f_cp, f_cc = (fails[k] for k in IDENTITY_KINDS)
+    # ceil of sqrt(x), x/q, sqrt(y), y/qy, 2*sqrt(x), 2*sqrt(y), 4*sqrt(x)
+    q = p = qy = py = c2 = c2y = c4 = 1
     for x in range(1, max_g + 2):
-        if x > q_sq:
-            q += 1
-            q_sq = q * q
-            c = 2 * q - 1
-            t2 = c * c
-            c = 4 * q - 3
-            t41 = c * c
-            c = 4 * q - 2
-            t42 = c * c
-            c = 4 * q - 1
-            t43 = c * c
-            px = -(-x // q)
-            px_at = px * q
-        elif x > px_at:
-            px += 1
-            px_at += q
         y = x + x
-        if y > qy_sq:
+        while q * q < x:
+            q += 1
+        while p * q < x:
+            p += 1
+        while qy * qy < y:
             qy += 1
-            qy_sq = qy * qy
-            c = 2 * qy - 1
-            t2y = c * c
-            py = -(-y // qy)
-            py_at = py * qy
-        elif y > py_at:
+        while py * qy < y:
             py += 1
-            py_at += qy
-        fx = 4 * x
-        c2x = 2 * q - 1 if fx <= t2 else 2 * q
-        c2y = 2 * qy - 1 if 4 * y <= t2y else 2 * qy
-        sx = 4 * fx
-        if sx <= t41:
-            c4x = 4 * q - 3
-        elif sx <= t42:
-            c4x = 4 * q - 2
-        elif sx <= t43:
-            c4x = 4 * q - 1
-        else:
-            c4x = 4 * q
-        s = q + px
-        if s != c2x:
+        while c2 * c2 < y + y:
+            c2 += 1
+        while c2y * c2y < 4 * y:
+            c2y += 1
+        while c4 * c4 < 16 * x:
+            c4 += 1
+        s = q + p
+        if s != c2:
             f_pp.append(x - 1)
         if qy + py != c2y:
             f_cp.append(x - 1)
-        if s + s != c4x:
+        if s + s != c4:
             f_cc.append(x - 1)
     return fails

@@ -58,7 +58,7 @@ class ProductGraph:
         return sub
 
 
-def _product(g1: Graph, g2: Graph, strong: bool) -> ProductGraph:
+def _product(g1: Graph, g2: Graph, kind: str) -> ProductGraph:
     if g1.n == 0 or g2.n == 0:
         raise ValueError("product factors must be nonempty")
     m, n = g1.n, g2.n
@@ -72,7 +72,7 @@ def _product(g1: Graph, g2: Graph, strong: bool) -> ProductGraph:
             for i2 in g1.adj[i]:
                 if i2 > i:
                     edges.append((v, i2 * n + j))
-                if strong:
+                if kind == "strong":
                     for j2 in g2.adj[j]:
                         if i2 > i:
                             edges.append((v, i2 * n + j2))
@@ -89,15 +89,15 @@ def _product(g1: Graph, g2: Graph, strong: bool) -> ProductGraph:
     if g1.adj == g2.adj:
         autos.append(tuple(j * n + i for i in range(m) for j in range(n)))
     graph = from_edges(m * n, edges, labels, autos)
-    return ProductGraph(graph, m, n, "strong" if strong else "cartesian")
+    return ProductGraph(graph, m, n, kind)
 
 
 def strong_product(g1: Graph, g2: Graph) -> ProductGraph:
-    return _product(g1, g2, strong=True)
+    return _product(g1, g2, "strong")
 
 
 def cartesian_product(g1: Graph, g2: Graph) -> ProductGraph:
-    return _product(g1, g2, strong=False)
+    return _product(g1, g2, "cartesian")
 
 
 FAMILIES = ("pxp", "cxp", "cxc")
@@ -113,9 +113,7 @@ def family_product(family: str, m: int, n: int, kind: str = "strong") -> Product
         f1, f2 = make_cycle(m, "x"), make_cycle(n, "y")
     else:
         raise ValueError(f"unknown family {family!r}")
-    if kind not in ("strong", "cartesian"):
-        raise ValueError(f"unknown product kind {kind!r}")
-    return _product(f1, f2, strong=(kind == "strong"))
+    return _product(f1, f2, kind)
 
 
 def layer(pg: ProductGraph, axis: str, index: int) -> tuple[int, ...]:
@@ -238,7 +236,7 @@ def classify_cut(pg: ProductGraph, cut: Iterable[int]) -> CutClassification:
 
 def verify_product_structure(pg: ProductGraph) -> bool:
     """Re-derive the product from its layer-recovered factors and compare."""
-    rebuilt = _product(pg.factor1(), pg.factor2(), strong=(pg.kind == "strong"))
+    rebuilt = _product(pg.factor1(), pg.factor2(), pg.kind)
     return rebuilt.graph.adj == pg.graph.adj
 
 

@@ -285,8 +285,9 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
     can read them without a second search.
     """
     extras = sorted(set(extras))
-    for g in extras:
-        _validate_solver_input(graph, g)
+    if not extras:
+        return {}
+    _validate_solver_input(graph, extras[0])  # the smallest g is the one that can be negative
     masks = adjacency_masks(graph)
     seeds = dict(upper_bounds or {})
     autos = graph.automorphisms
@@ -353,8 +354,6 @@ def min_cuts_grouped(graph: Graph, value_by_extra: dict[int, int],
     Output matches ``enumerate_min_cuts(graph, g, known_value=...)`` per g.
     Raises ValueError when a value is not kappa_g.
     """
-    if not value_by_extra:
-        return {}
     extras = sorted(value_by_extra)
     if solved is None or not all(g in solved and solved[g].cuts is not None for g in extras):
         solved = fragment_solve_many(graph, extras, value_by_extra)

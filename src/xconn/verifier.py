@@ -11,7 +11,7 @@ contains no timing data, so identical configurations produce identical bytes.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .formulas import FamilyParams, FAMILY_MINS, guard_limit, kappa_formula
@@ -58,8 +58,7 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepReport:
-    config: SweepConfig
-    rows: tuple[SweepRow, ...] = field(default_factory=tuple)
+    rows: tuple[SweepRow, ...]
 
 
 def _cell_grid(config: SweepConfig, family: str) -> list[tuple[int, int]]:
@@ -80,8 +79,6 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
         gs = sorted(set(config.explicit_g))
     else:
         gs = list(range(0, limit + 1))
-    if not gs:
-        return []
 
     formula: dict[int, int | None] = {}
     sizes: dict[int, dict[str, int | None]] = {}
@@ -154,7 +151,7 @@ def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> SweepReport:
     rows = [row for cell_rows in results for row in cell_rows]
     order = {f: i for i, f in enumerate(FAMILIES)}
     rows.sort(key=lambda r: (order[r.family], r.m, r.n, r.g))
-    return SweepReport(config, tuple(rows))
+    return SweepReport(tuple(rows))
 
 
 CSV_HEADER = ("family,m,n,g,in_guard,formula,oracle,agree,"

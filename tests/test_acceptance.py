@@ -237,8 +237,8 @@ def test_criterion_08_min_cut_classification():
     total = 0
     for family, m, n in cases:
         pg = family_product(family, m, n)
-        value = int(kappa_extra_fragment(pg.graph, 0).value)
-        cuts = min_cuts_grouped(pg.graph, {0: value})[0]
+        solved = {0: kappa_extra_fragment(pg.graph, 0)}
+        cuts = min_cuts_grouped(pg.graph, {0: int(solved[0].value)}, solved)[0]
         total += len(cuts)
         for cut in cuts:
             if classify_cut(pg, cut).verdict not in ("i_set", "l_set"):
@@ -258,7 +258,7 @@ def test_criterion_09_layer_bounds():
             pg = data["pg"]
             finite = {g: int(data["oracle"][g].value) for g in data["gs"]
                       if data["oracle"][g].value is not INFINITY}
-            all_cuts = min_cuts_grouped(pg.graph, finite)
+            all_cuts = min_cuts_grouped(pg.graph, finite, data["oracle"])
             for g, cuts in all_cuts.items():
                 if not cuts:
                     bad.append(f"{family} m={m} n={n} g={g}: no cuts enumerated")

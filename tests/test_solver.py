@@ -254,6 +254,28 @@ def test_factor_solves_leave_the_product_cuts_alone(monkeypatch):
                        for g, v in values.items()}
 
 
+def test_fragment_solve_many_on_no_extras_is_empty():
+    assert fragment_solve_many(make_path(4), []) == {}
+    assert min_cuts_grouped(make_path(4), {}) == {}
+
+
+def test_fragment_solve_many_checks_the_graph_once(monkeypatch):
+    walks = []
+    connected = solver.is_connected
+
+    def counted(graph):
+        walks.append(graph.n)
+        return connected(graph)
+
+    monkeypatch.setattr(solver, "is_connected", counted)
+    results = fragment_solve_many(make_cycle(10), [0, 1, 2, 3])
+    assert walks == [10]
+    assert [results[g].value for g in range(4)] == [2, 2, 2, 2]
+    for extras in ([-1], [3, 0, -2]):
+        with pytest.raises(ValueError):
+            fragment_solve_many(make_cycle(10), extras)
+
+
 @given(connected_graphs(min_n=2, max_n=10), st.integers(0, 2), st.sampled_from((-1, 1)))
 @settings(max_examples=60, deadline=None)
 def test_min_cuts_grouped_after_a_solve_rejects_a_wrong_value(g, extra, offset):
