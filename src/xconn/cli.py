@@ -49,7 +49,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_any(path: str) -> tuple[graphmod.Graph, ProductGraph | None]:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if isinstance(doc, dict) and "product" in doc:
         pg = productsmod.from_doc(doc)
         return pg.graph, pg

@@ -19,7 +19,7 @@ from .graph import Graph, min_degree
 from .products import FAMILIES, ProductGraph, cartesian_product, classify_cut, family_product
 from .solver import (INFINITY, check_layer_bounds, classical_connectivity, fragment_solve_many,
                      kappa_extra_fragment, min_cuts_grouped)
-from .witnesses import WITNESS_KINDS, build_witnesses, validate_witness
+from .witnesses import build_witnesses, validate_witness
 
 DEFAULT_GRIDS: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
     "pxp": ((3, 6), (3, 6)),
@@ -86,22 +86,17 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
     seeds: dict[int, int] = {}
     for g in gs:
         params = FamilyParams(family, m, n, g)
-        if g <= limit:
-            formula[g] = kappa_formula(params).value
-            cuts = build_witnesses(params)
-            sizes[g] = {w: None if c is None else len(c) for w, c in cuts.items()}
-            built = [c for c in cuts.values() if c is not None]
-            ok = True
-            for cut in built:
-                if validate_witness(pg, cut, g).is_g_extra:
-                    seeds[g] = min(seeds.get(g, len(cut)), len(cut))
-                else:
-                    ok = False
-            valid[g] = ok if built else None
-        else:
-            formula[g] = None
-            sizes[g] = {w: None for w in WITNESS_KINDS}
-            valid[g] = None
+        formula[g] = kappa_formula(params).value if g <= limit else None
+        cuts = build_witnesses(params)   # all None beyond the guard
+        sizes[g] = {w: None if c is None else len(c) for w, c in cuts.items()}
+        built = [c for c in cuts.values() if c is not None]
+        ok = True
+        for cut in built:
+            if validate_witness(pg, cut, g).is_g_extra:
+                seeds[g] = min(seeds.get(g, len(cut)), len(cut))
+            else:
+                ok = False
+        valid[g] = ok if built else None
 
     oracle: dict[int, int | float | None]
     if pg.graph.n <= MAX_VERTICES:
@@ -121,7 +116,7 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
         ov = oracle[g]
         fv = formula[g]
         agree = None
-        if g <= limit and fv is not None and ov is not None:
+        if fv is not None and ov is not None:
             agree = (ov == fv)
         layer_pass: bool | None = None
         classes: str | None = None
@@ -144,7 +139,8 @@ def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> SweepReport:
              for family in config.families
              for m, n in _cell_grid(config, family)]
     if threads > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # the fork start method starts every worker up front
+        with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
             results = list(pool.map(_evaluate_cell, cells))
     else:
         results = [_evaluate_cell(c) for c in cells]

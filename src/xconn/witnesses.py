@@ -1,24 +1,27 @@
 """Explicit g-extra cuts certifying the upper-bound half of each closed form.
 
-Three cut shapes exist per family, named after the formula term they realise:
+Every witness is the neighbourhood N(B) of one block B = I x J of the
+product, where I and J are intervals of the two factors.  A whole factor is
+taken as it is; any other interval is placed at vertex 0 on a path and at
+vertex 1 on a cycle, and it fits when it ends before the factor's last
+vertex, so a placed interval never wraps.  The three kinds are named after
+the formula term they realise:
 
-  layers1  whole factor-1 layers (one for a path factor 2, two for a cycle),
-           taken at the middle so both sides stay large enough;
-  layers2  whole factor-2 layers, symmetrically;
-  block    the neighbourhood of an a x b corner/interval block of at least
-           g+1 vertices, realising the ceiling term.
+  layers1  the whole factor 1 times the first (n-1-c2)//2 vertices of
+           factor 2 (c2 = 1 for a cycle factor 2, else 0), so N(B) is one
+           factor-1 layer for a path factor 2 and two for a cycle;
+  layers2  the same with the factors swapped;
+  block    an a x b block of at least g+1 vertices, realising the ceiling
+           term.
 
-Paths are indexed 1-based and cycles 0-based in the usual notation; this
-module is the single place where those conventions are converted to internal
-0-based ids (paths shift down by one, cycles map through unchanged).
-
-For 'cxp' the block parameters are chosen by minimising the true boundary
-size a + 2*ceil((g+1)/a) + 2 over the interval length a; the naive square
-split overshoots because the cyclic dimension pays twice per column.  For
-'cxc' the square split q = ceil(sqrt(g+1)), p = ceil((g+1)/q) minimises
-2(a+b)+4, but the resulting size 2q+2p+4 exceeds the formula's ceiling term
-for some g (first at g=2), so callers comparing sizes against the closed
-form must be prepared for that mismatch outside the verified grids.
+For 'pxp' and 'cxc' the block is the square split q = ceil(sqrt(g+1)) by
+ceil((g+1)/q).  For 'cxp' it is the first a x ceil((g+1)/a) that fits among
+those with the least boundary a + 2*ceil((g+1)/a) + 2, in increasing a; the
+square split overshoots there because the cyclic dimension pays twice per
+column.  On 'cxc' the square split's size 2q+2p+4 exceeds the formula's
+ceiling term for some g (first at g=2), so callers comparing sizes against
+the closed form must be prepared for that mismatch outside the verified
+grids.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .formulas import DomainError, FamilyParams, ceil_div, ceil_mul_sqrt, ceil_sqrt, \
-    formula_terms, guard
+from .formulas import DomainError, FamilyParams, ceil_div, ceil_sqrt, formula_terms, guard
 from .products import ProductGraph
 from .solver import CutVerdict, check_g_extra_cut
 
@@ -63,80 +65,51 @@ def plan_witness(params: FamilyParams, which: str) -> WitnessSpec:
     return WitnessSpec(params, which, dict(formula_terms(params))[which])
 
 
-def _ids(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    return tuple(sorted(i * n + j for i, j in pairs))
+def _place(size: int, cycle: bool, length: int) -> range | None:
+    """An interval of a factor: it starts at vertex 0 on a path and 1 on a
+    cycle, and it fits (else None) when it ends before the last vertex, so it
+    never wraps."""
+    start = int(cycle)
+    return range(start, start + length) if start + length <= size - 1 else None
 
 
-def _layers1(params: FamilyParams) -> tuple[int, ...]:
-    m, n = params.m, params.n
-    if params.family in ("pxp", "cxp"):
-        col = (n - 1) // 2       # path y_{floor((n-1)/2)+1}, shifted to 0-based
-        cols = [col]
-    else:
-        cols = [0, (n - 2) // 2 + 1]   # cycle y_0 and y_{floor((n-2)/2)+1}
-    return _ids(n, ((i, j) for i in range(m) for j in cols))
+def _neighbourhood(m: int, n: int, rows: range, cols: range) -> tuple[int, ...]:
+    """N(rows x cols) in the strong product: the block widened by one step in
+    each factor, clipped to the grid, minus the block itself."""
+    wide_rows = range(max(rows.start - 1, 0), min(rows.stop + 1, m))
+    wide_cols = range(max(cols.start - 1, 0), min(cols.stop + 1, n))
+    return tuple(i * n + j for i in wide_rows for j in wide_cols
+                 if i not in rows or j not in cols)
 
 
-def _layers2(params: FamilyParams) -> tuple[int, ...]:
-    m, n = params.m, params.n
-    if params.family == "pxp":
-        rows = [(m - 1) // 2]
-    else:
-        rows = [0, (m - 2) // 2 + 1]
-    return _ids(n, ((i, j) for i in rows for j in range(n)))
-
-
-def _block_pxp(params: FamilyParams) -> tuple[int, ...]:
+def _block_shapes(params: FamilyParams) -> list[tuple[int, int]]:
+    """The a x b block sizes to try for the block cut, in order."""
     x = params.g + 1
-    q = ceil_sqrt(x)
-    p = ceil_div(x, q)
-    if q > params.m - 1 or p > params.n - 1:
-        raise WitnessError("block does not fit the grid")
-    pairs = [(q, j) for j in range(p + 1)] + [(i, p) for i in range(q)]
-    return _ids(params.n, pairs)
-
-
-def _block_cxp(params: FamilyParams) -> tuple[int, ...]:
-    x = params.g + 1
-    best_size, candidates = None, []
-    for a in range(1, ceil_mul_sqrt(2, 2 * x) + 3):
-        b = ceil_div(x, a)
-        size = a + 2 * b + 2
-        if best_size is None or size < best_size:
-            best_size, candidates = size, []
-        if size == best_size:
-            candidates.append((a, b))
-    for a, b in candidates:
-        if a + 1 <= params.m - 1 and b <= params.n - 1:
-            pairs = [(r, j) for r in (0, a + 1) for j in range(b + 1)]
-            pairs += [(i, b) for i in range(1, a + 1)]
-            return _ids(params.n, pairs)
-    raise WitnessError("block does not fit the cylinder")
-
-
-def _block_cxc(params: FamilyParams) -> tuple[int, ...]:
-    x = params.g + 1
-    q = ceil_sqrt(x)
-    p = ceil_div(x, q)
-    if q + 1 > params.m - 1 or p + 1 > params.n - 1:
-        raise WitnessError("block does not fit the torus")
-    pairs = [(r, j) for r in (0, q + 1) for j in range(p + 2)]
-    pairs += [(i, j) for i in range(1, q + 1) for j in (0, p + 1)]
-    return _ids(params.n, pairs)
+    if params.family != "cxp":
+        q = ceil_sqrt(x)
+        return [(q, ceil_div(x, q))]
+    # with r = ceil(sqrt(2x)), a least size s has a + 2 <= s <= size(r) < 2r + 2
+    sizes = {a: a + 2 * ceil_div(x, a) for a in range(1, 2 * ceil_sqrt(2 * x))}
+    best = min(sizes.values())
+    return [(a, ceil_div(x, a)) for a, size in sizes.items() if size == best]
 
 
 def build_witness(spec: WitnessSpec) -> tuple[int, ...]:
-    """The witness vertex set as internal product ids (row-major i*n+j)."""
+    """The witness vertex set as sorted internal product ids (row-major i*n+j)."""
     params = spec.params
+    m, n = params.m, params.n
+    cycle1, cycle2 = params.family != "pxp", params.family == "cxc"
     if spec.which == "layers1":
-        return _layers1(params)
-    if spec.which == "layers2":
-        return _layers2(params)
-    if params.family == "pxp":
-        return _block_pxp(params)
-    if params.family == "cxp":
-        return _block_cxp(params)
-    return _block_cxc(params)
+        blocks = [(range(m), _place(n, cycle2, (n - 1 - cycle2) // 2))]
+    elif spec.which == "layers2":
+        blocks = [(_place(m, cycle1, (m - 1 - cycle1) // 2), range(n))]
+    else:
+        blocks = [(_place(m, cycle1, a), _place(n, cycle2, b))
+                  for a, b in _block_shapes(params)]
+    for rows, cols in blocks:
+        if rows is not None and cols is not None:
+            return _neighbourhood(m, n, rows, cols)
+    raise WitnessError(f"{spec.which} does not fit the grid")
 
 
 def validate_witness(pg: ProductGraph, cut: Iterable[int], extra: int) -> CutVerdict:

@@ -190,7 +190,8 @@ def test_sweep_json_is_the_same_serial_and_pooled(capsys):
 
 
 @pytest.mark.parametrize("doc", ['{"n": 3}', '{"n": 3, "edges": 5}', '[1, 2]',
-                                 '{"n": 3, "edges": [null]}', 'not json'])
+                                 '{"n": 3, "edges": [null]}', 'not json',
+                                 pytest.param("[" * 100_000, id="deeply nested")])
 def test_malformed_graph_json_exits_1(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(doc)

@@ -1,6 +1,6 @@
 from pathlib import Path
 
-from xconn import solver
+from xconn import solver, verifier
 from xconn.cli import run
 from xconn.graph import make_cycle, make_path
 from xconn.products import classify_cut, family_product
@@ -125,3 +125,25 @@ def test_a_cell_repeats_the_same_searches(monkeypatch):
         _evaluate_cell(("pxp", 3, 4, SweepConfig()))
         runs.append(list(orders))
     assert runs[0] == runs[1] and len(runs[0]) > 1
+
+
+def test_sweep_pool_has_no_more_workers_than_cells(monkeypatch):
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", SerialPool)
+    config = SweepConfig(families=("pxp",), m_range=(3, 3), n_range=(3, 4))
+    assert to_csv(sweep(config, threads=64)) == to_csv(sweep(config, threads=1))
+    assert asked == [2]

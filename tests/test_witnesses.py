@@ -1,10 +1,12 @@
+import hashlib
+
 import pytest
 
-from xconn.formulas import (DomainError, FamilyParams, ceil_div, ceil_mul_sqrt,
+from xconn.formulas import (FAMILY_MINS, DomainError, FamilyParams, ceil_div, ceil_mul_sqrt,
                             formula_terms, guard_limit)
 from xconn.products import family_product
 from xconn.solver import kappa_extra_fragment
-from xconn.witnesses import (WITNESS_KINDS, WitnessError, _block_cxp, block_constructible,
+from xconn.witnesses import (WITNESS_KINDS, WitnessError, WitnessSpec, block_constructible,
                              build_witness, build_witnesses, plan_witness,
                              validate_witness, witness_sizes)
 
@@ -144,10 +146,35 @@ def test_block_cxp_matches_the_two_pass_construction():
             for g in range(0, guard_limit("cxp", m, n) + 1):
                 params = FamilyParams("cxp", m, n, g)
                 try:
-                    cut = _block_cxp(params)
+                    cut = build_witness(WitnessSpec(params, "block", 0))
                 except WitnessError:
                     cut = None
                 assert cut == block_cxp_two_pass(params), (m, n, g)
                 cells += 1
                 refused += cut is None
     assert (cells, refused) == (152, 9)
+
+
+def test_every_witness_is_pinned():
+    # every kind built straight from its spec (no plan_witness), so cells out
+    # of guard and refused blocks are covered too; the digest covers every id
+    # tuple and refusal, so any change to any witness fails here
+    digest = hashlib.sha256()
+    params_count = built = refused = 0
+    for family, (min_m, min_n) in FAMILY_MINS.items():
+        for m in range(min_m, 13):
+            for n in range(min_n, 13):
+                for g in range(0, guard_limit(family, m, n) + 3):
+                    params = FamilyParams(family, m, n, g)
+                    params_count += 1
+                    for which in WITNESS_KINDS:
+                        try:
+                            line = repr(build_witness(WitnessSpec(params, which, 0)))
+                        except WitnessError:
+                            line = "refused"
+                            refused += 1
+                        built += 1
+                        digest.update(f"{family} {m} {n} {g} {which} {line}\n".encode())
+    assert (params_count, built, refused) == (6087, 18261, 535)
+    assert digest.hexdigest() == (
+        "6b9da35f6415af5bfd8eaeeaff90bf49eb78eab37a51f119d23d7fe020910440")
