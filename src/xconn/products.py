@@ -16,7 +16,7 @@ connected graphs is one of the two.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .graph import (Graph, components, from_edges, induced_subgraph, make_cycle, make_path)
@@ -90,6 +90,12 @@ def _product(g1: Graph, g2: Graph, kind: str) -> ProductGraph:
         autos.append(tuple(j * n + i for i in range(m) for j in range(n)))
     graph = from_edges(m * n, edges, labels, autos)
     return ProductGraph(graph, m, n, kind)
+
+
+def _as_path_or_cycle(g: Graph) -> Graph | None:
+    """``make_path`` or ``make_cycle`` of g's order when g has its edges."""
+    shapes = [make_path(g.n)] + ([make_cycle(g.n)] if g.n >= 3 else [])
+    return next((shape for shape in shapes if shape.adj == g.adj), None)
 
 
 def strong_product(g1: Graph, g2: Graph) -> ProductGraph:
@@ -269,7 +275,12 @@ def from_doc(doc: object) -> ProductGraph:
     pg = ProductGraph(graph, m, n, kind)
     if not verify_product_structure(pg):
         raise ValueError("edge set inconsistent with declared product structure")
-    return pg
+    # path and cycle factors declare their maps, as in family_product
+    f1, f2 = _as_path_or_cycle(pg.factor1()), _as_path_or_cycle(pg.factor2())
+    if f1 is None or f2 is None:
+        return pg
+    autos = _product(f1, f2, kind).graph.automorphisms
+    return ProductGraph(replace(graph, automorphisms=autos), m, n, kind)
 
 
 def render_coords(pg: ProductGraph, vertices: Iterable[int]) -> str:

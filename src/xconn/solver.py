@@ -29,7 +29,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .graph import (Graph, adjacency_masks, components, is_complete, is_connected,
-                    mask_components, mask_to_tuple)
+                    mask_components, mask_to_tuple, min_degree)
 from .products import ProductGraph
 
 INFINITY = math.inf
@@ -190,9 +190,20 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
     phi(u) = r(u).  Every x in phi(H) has x >= r(x) >= r(u), so phi(H) has
     its smallest vertex at the root r(u), and the pass finds phi(S) there
     (pruning keeps ties and commits only boundary vertices inside the cut).
-    The closure maps phi(S) back to S and adds only images of minimum cuts,
-    which are minimum cuts themselves, so the sets are the same as from
-    rooting at every vertex.
+    At a root r the first extensions are pruned too (canonical augmentation
+    at one level; McKay, "Isomorph-free exhaustive generation", J.
+    Algorithms 26, 1998): with K the generators that fix r, the pass
+    branches only on the neighbours of r that are the smallest vertex of
+    their K-orbit, and a skipped neighbour stays forbidden in the later
+    branches, as a searched one does.  Still S is found: if |H| >= 2, let
+    A = phi(H) & N(r) and psi, in the group K generates, minimise
+    a = min psi(A).  No k in that group has k(a) < a (k psi would give
+    less), so a is kept.  psi fixes r and keeps every vertex in its orbit,
+    so psi phi(H) still has its smallest vertex at r, a is its smallest
+    neighbour of r, and the branch on a finds psi phi(S).  The closure maps
+    the cut found back to S and adds only images of minimum cuts, which are
+    minimum cuts themselves, so the sets are the same as from rooting at
+    every vertex and branching on every neighbour.
 
     A fragment deeper than the interpreter's recursion limit raises
     InconclusiveError.
@@ -262,8 +273,23 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
                 seen |= sum(_close_under({1 << v}, automorphisms))
     try:
         for v in roots:
-            forb0 = (1 << v) - 1
-            grow(1 << v, 1, masks[v], masks[v] & ~forb0, forb0)
+            forb = (1 << v) - 1
+            grow(1 << v, 1, masks[v], 0, forb)  # the root alone; its branches follow
+            fixers = [p for p in automorphisms if p[v] == v]
+            ext = masks[v] & ~forb
+            while ext:
+                u_bit = ext & -ext
+                ext ^= u_bit
+                u = u_bit.bit_length() - 1
+                # branch only on the smallest vertex of each orbit under the
+                # generators that fix v; the rest stay forbidden all the same
+                if not fixers or min(_close_under({u_bit}, fixers)) == u_bit:
+                    s2 = 1 << v | u_bit
+                    nb2 = (masks[v] | masks[u]) & ~s2
+                    bound = (nb2 & forb).bit_count()
+                    if bound <= ub and 4 <= n - bound:  # as in grow's loop
+                        grow(s2, 2, nb2, (ext | masks[u]) & ~s2 & ~forb, forb)
+                forb |= u_bit
     except RecursionError:
         raise InconclusiveError(
             f"fragment search deeper than the recursion limit "
@@ -371,6 +397,8 @@ def classical_connectivity(graph: Graph) -> int:
         return graph.n - 1
     if not is_connected(graph):
         return 0
+    if max(map(len, graph.adj)) <= 2:  # a path, cut by one vertex, or a cycle
+        return 1 if min_degree(graph) == 1 else 2
     value = kappa_extra_fragment(graph, 0).value
     assert value is not INFINITY  # non-complete connected graphs always have a cut
     return int(value)

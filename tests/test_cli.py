@@ -62,6 +62,7 @@ def test_gen_exact_round_trip(tmp_path, capsys):
     in_process = json.loads(out_of(capsys))
     assert from_file["value"] == in_process["value"] == 8
     assert from_file["witness"] == in_process["witness"]
+    assert from_file["stats"] == in_process["stats"]  # the file declares the same maps
 
 
 def test_product_dot_output(capsys):

@@ -12,7 +12,7 @@ from xconn.graph import (Graph, components, from_edges, induced_subgraph, is_com
 from xconn.products import (FAMILIES, cartesian_product, classify_cut, family_product,
                             from_json, layer, make_i_set, make_l_set, render_coords,
                             slice_of_set, strong_product, to_json, verify_product_structure)
-from xconn.solver import enumerate_min_cuts
+from xconn.solver import enumerate_min_cuts, fragment_solve_many
 
 
 def brute_force_product_edges(g1: Graph, g2: Graph, strong: bool) -> set[tuple[int, int]]:
@@ -262,8 +262,28 @@ def test_product_generators_take_no_part_in_equality_or_json():
     pg = family_product("cxc", 4, 4)
     bare = Graph(pg.graph.n, pg.graph.adj, pg.graph.labels)
     assert pg.graph == bare and hash(pg.graph) == hash(bare)
+    text = to_json(pg)
+    assert "automorphisms" not in json.loads(text)
+    back = from_json(text)  # re-derived from the path and cycle factors
+    assert back == pg and back.graph.automorphisms == pg.graph.automorphisms
+
+
+@pytest.mark.parametrize("family,m,n", [("pxp", 4, 5), ("cxp", 5, 4), ("cxc", 5, 5),
+                                        ("cxc", 4, 6)])
+def test_product_json_round_trip_keeps_the_search(family, m, n):
+    pg = family_product(family, m, n)
     back = from_json(to_json(pg))
-    assert back == pg and back.graph.automorphisms == ()
+    assert back.graph.labels == pg.graph.labels
+    assert fragment_solve_many(back.graph, [0, 1, 2]) == fragment_solve_many(pg.graph, [0, 1, 2])
+
+
+def test_product_json_declares_generators_only_for_path_and_cycle_factors():
+    star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    for pg, declared in [(strong_product(star, make_path(3)), False),
+                         (strong_product(star, star), False),
+                         (strong_product(make_path(3), make_cycle(4)), True)]:
+        back = from_json(to_json(pg))
+        assert back == pg and bool(back.graph.automorphisms) == declared
 
 
 def test_family_product_rejects_unknown_kind():

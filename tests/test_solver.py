@@ -236,7 +236,8 @@ def test_min_cuts_grouped_with_and_without_solved_results(g):
 
 
 def test_factor_solves_leave_the_product_cuts_alone(monkeypatch):
-    pg = family_product("pxp", 3, 4)
+    # a star factor: paths and cycles are answered without a solve
+    pg = strong_product(from_edges(4, [(0, 1), (0, 2), (0, 3)]), make_path(3))
     results = fragment_solve_many(pg.graph, [0, 1])
     values = {g: r.value for g, r in results.items()}
     orders = []
@@ -247,7 +248,7 @@ def test_factor_solves_leave_the_product_cuts_alone(monkeypatch):
         return search(masks, n, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_fragment_search", counted)
-    assert classical_connectivity(pg.factor1()) == 1  # solves a 3-vertex path
+    assert classical_connectivity(pg.factor1()) == 1  # solves the star
     grouped = min_cuts_grouped(pg.graph, values, results)
     assert pg.graph.n not in orders and orders
     assert grouped == {g: enumerate_min_cuts(pg.graph, g, known_value=v)
@@ -304,6 +305,32 @@ def test_classical_connectivity_cache_matches_a_fresh_solve(g):
     expected = g.n - 1 if fresh is INFINITY else fresh
     # an equal graph object, built separately, gets the same answer
     assert classical_connectivity(g) == classical_connectivity(dataclasses.replace(g)) == expected
+
+
+def relabelled(g, order):
+    """``g`` with vertex v renamed ``order[v]``."""
+    return from_edges(g.n, [(order[u], order[v]) for u, v in g.edges])
+
+
+paths_and_cycles = st.one_of(st.integers(2, 12).map(make_path),
+                             st.integers(3, 12).map(make_cycle))
+
+
+@given(st.one_of(paths_and_cycles,
+                 paths_and_cycles.flatmap(lambda g: st.permutations(range(g.n)).map(
+                     lambda order: relabelled(g, order))),
+                 connected_graphs(min_n=2, max_n=10)))
+@settings(max_examples=120, deadline=None)
+def test_classical_connectivity_matches_networkx(g):
+    assert classical_connectivity(g) == nx.node_connectivity(nx.Graph(g.edges))
+
+
+def test_classical_connectivity_answers_paths_and_cycles_without_a_solve(monkeypatch):
+    monkeypatch.setattr(solver, "_fragment_search", None)  # any solve would raise
+    for n in range(2, 9):
+        assert classical_connectivity(make_path(n)) == 1
+    for n in range(3, 9):
+        assert classical_connectivity(make_cycle(n)) == 2
 
 
 def test_kappa0_equals_classical_connectivity():
@@ -415,11 +442,11 @@ def solve_and_group(graph, gs, seeds):
     return answers, min_cuts_grouped(graph, values, results)  # reads the solve's cuts
 
 
-DEFAULT_SMALL_CELLS = [(family, m, n) for family in FAMILIES
-                       for m, n in _cell_grid(SweepConfig(), family) if m * n <= 25]
+DEFAULT_CELLS = [(family, m, n) for family in FAMILIES
+                 for m, n in _cell_grid(SweepConfig(), family)]
 
 
-@pytest.mark.parametrize("family,m,n", DEFAULT_SMALL_CELLS)
+@pytest.mark.parametrize("family,m,n", DEFAULT_CELLS)
 def test_orbit_rooting_keeps_every_answer_on_default_cells(family, m, n):
     pg = family_product(family, m, n)
     assert pg.graph.automorphisms
@@ -453,3 +480,30 @@ def test_square_of_a_random_graph_matches_its_bare_copy(h):
     assert len(square.automorphisms) == 1
     gs = [0, 1, 2]
     assert solve_and_group(square, gs, {}) == solve_and_group(bare_copy(square), gs, {})
+
+
+def test_root_pruning_keeps_every_answer_on_the_torus_probe_cell():
+    pg = family_product("cxc", 5, 6)  # 30 vertices, above the default cells
+    assert solve_and_group(pg.graph, [2], {2: 10}) == solve_and_group(bare_copy(pg.graph),
+                                                                      [2], {2: 10})
+
+
+@given(st.sampled_from(["cxp", "cxc"]), st.integers(4, 5), st.integers(4, 5), st.data())
+@settings(max_examples=30, deadline=None)
+def test_any_declared_generators_keep_every_answer(family, m, n, data):
+    # a random subset of the generators: the maps that fix a root vary
+    graph = family_product(family, m, n).graph
+    autos = data.draw(st.lists(st.sampled_from(graph.automorphisms), min_size=1, unique=True))
+    declared = Graph(graph.n, graph.adj, automorphisms=tuple(autos))
+    gs = [0, 1, 2]
+    assert solve_and_group(declared, gs, {}) == solve_and_group(bare_copy(graph), gs, {})
+
+
+@pytest.mark.parametrize("family,m,n,extra,seeds,nodes", [
+    ("cxc", 5, 6, 2, {2: 10}, 154_902),  # the benchmark's torus-probe cell
+    ("cxc", 4, 4, 0, {}, 285),           # 582 with every neighbour of the root branched on
+])
+def test_fragment_node_counts(family, m, n, extra, seeds, nodes):
+    # node counts do not depend on the machine, so a search change shows here
+    res = fragment_solve_many(family_product(family, m, n).graph, [extra], seeds)[extra]
+    assert res.stats.nodes == nodes
