@@ -235,7 +235,8 @@ def to_dot(g: Graph, highlight: Iterable[int] = ()) -> str:
     marked = _check_vertex_set(g, highlight)
     lines = ["graph G {"]
     for v in range(g.n):
-        attrs = [f'label="{g.label(v)}"']
+        label = str(g.label(v)).replace("\\", "\\\\").replace('"', '\\"')
+        attrs = [f'label="{label}"']
         if v in marked:
             attrs.append('style=filled fillcolor=lightcoral')
         lines.append(f'  {v} [{" ".join(attrs)}];')

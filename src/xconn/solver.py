@@ -107,34 +107,17 @@ def _validate_solver_input(graph: Graph, extra: int) -> None:
         raise ValueError("graph must be connected")
 
 
-def _is_g_extra_mask(masks: Sequence[int], full: int, cut: int, extra: int) -> bool:
-    comps = mask_components(masks, full & ~cut)
-    return len(comps) >= 2 and all(size > extra for _, size in comps)
-
-
-def _subset_cuts(graph: Graph, extra: int, ks: Iterable[int], budget: int
-                 ) -> Iterator[tuple[int, tuple[int, ...] | None]]:
-    """Scan the subsets of each cardinality in ``ks``, in lexicographic order.
-
-    Yields ``(checks, cut)`` for every g-extra cut found, and
-    ``(checks, None)`` once each cardinality is done; ``checks`` counts the
-    subsets tested so far.  Raises InconclusiveError at check ``budget + 1``.
-    """
+def _subset_cuts(graph: Graph, extra: int, k: int) -> Iterator[tuple[bool, tuple[int, ...]]]:
+    """Yield ``(is_cut, combo)`` for every k-subset of the vertices, in
+    lexicographic order; ``is_cut`` says whether it is a g-extra cut."""
     masks = adjacency_masks(graph)
     full = (1 << graph.n) - 1
-    checks = 0
-    for k in ks:
-        for combo in combinations(range(graph.n), k):
-            checks += 1
-            if checks > budget:
-                raise InconclusiveError(
-                    f"subset budget {budget} exhausted at cardinality {k}", checks)
-            cut = 0
-            for v in combo:
-                cut |= 1 << v
-            if _is_g_extra_mask(masks, full, cut, extra):
-                yield checks, combo
-        yield checks, None
+    for combo in combinations(range(graph.n), k):
+        cut = 0
+        for v in combo:
+            cut |= 1 << v
+        comps = mask_components(masks, full & ~cut)
+        yield len(comps) >= 2 and all(size > extra for _, size in comps), combo
 
 
 def kappa_extra_subset(graph: Graph, extra: int, budget: int = 10 ** 8) -> ExtraConnResult:
@@ -146,10 +129,14 @@ def kappa_extra_subset(graph: Graph, extra: int, budget: int = 10 ** 8) -> Extra
     _validate_solver_input(graph, extra)
     checks = 0
     # a cut must leave two components of size >= extra+1
-    ks = range(1, graph.n - 2 * (extra + 1) + 1)
-    for checks, combo in _subset_cuts(graph, extra, ks, budget):
-        if combo is not None:
-            return ExtraConnResult(extra, len(combo), combo, "subset", SolverStats(checks))
+    for k in range(1, graph.n - 2 * (extra + 1) + 1):
+        for is_cut, combo in _subset_cuts(graph, extra, k):
+            checks += 1
+            if checks > budget:
+                raise InconclusiveError(
+                    f"subset budget {budget} exhausted at cardinality {k}", checks)
+            if is_cut:
+                return ExtraConnResult(extra, k, combo, "subset", SolverStats(checks))
     return ExtraConnResult(extra, INFINITY, None, "subset", SolverStats(checks))
 
 
@@ -169,18 +156,37 @@ def _close_under(cuts: set[int], automorphisms: Sequence[Sequence[int]]) -> set[
     return closed
 
 
+def _orbit_minima(mask: int, automorphisms: Sequence[Sequence[int]]) -> int:
+    """The vertices of ``mask`` that are the smallest of their orbit under the
+    generated group; ``mask`` must be a union of orbits."""
+    minima = seen = 0
+    for v in mask_to_tuple(mask):
+        if not seen >> v & 1:
+            minima |= 1 << v
+            seen |= sum(_close_under({1 << v}, automorphisms))
+    return minima
+
+
 def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
                      seeds: dict[int, int], automorphisms: Sequence[Sequence[int]] = ()
-                     ) -> tuple[dict[int, set[int]], dict[int, float], int]:
+                     ) -> tuple[dict[int, set[int]], int]:
     """One enumeration pass shared by all requested ``extras``.
 
-    Returns per-extra tie sets, per-extra best sizes, and the node count.
-    ``ties[g]`` ends as the set of every cut mask of size ``best[g]`` (empty
-    when no cut within the seed was found).  ``seeds[g]`` must be a certified
-    upper bound on kappa_g (from a validated cut); candidates above it are
-    pruned but a seed never becomes the answer unless an actual cut of that
-    size is found.  Pruning never lets its bound fall below kappa_g and keeps
-    ties, so every minimum g-extra cut ends in ``ties[g]``.
+    Returns per-extra tie sets and the node count.  ``ties[g]`` ends as the
+    set of every cut mask of the smallest size found (empty when no cut
+    within the seed was found), so kappa_g is the size of any of them.
+    ``seeds[g]`` must be a certified upper bound on kappa_g (from a
+    validated cut); candidates above it are pruned but a seed never becomes
+    the answer unless an actual cut of that size is found.  Pruning never
+    lets its bound fall below kappa_g and keeps ties, so every minimum
+    g-extra cut ends in ``ties[g]``.
+
+    A node holds a fragment H, its neighbourhood N(H) and a forbidden set F
+    that no descendant may take; its extension set N(H) - F is derived on
+    entry.  That is the set extension with a forbidden set would carry
+    down: the branch on u starts once the siblings popped before u are in
+    F, so the carried (N(H) - F - popped) | N(u), less H + u and F, equals
+    N(H + u) - F.
 
     ``automorphisms`` (validated generators, e.g. ``Graph.automorphisms``)
     restrict the roots to the smallest vertex of each orbit; the tie sets
@@ -192,9 +198,9 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
     (pruning keeps ties and commits only boundary vertices inside the cut).
     At a root r the first extensions are pruned too (canonical augmentation
     at one level; McKay, "Isomorph-free exhaustive generation", J.
-    Algorithms 26, 1998): with K the generators that fix r, the pass
-    branches only on the neighbours of r that are the smallest vertex of
-    their K-orbit, and a skipped neighbour stays forbidden in the later
+    Algorithms 26, 1998): with K the generators that fix r, the root's
+    ``grow`` call skips the neighbours of r that are not the smallest vertex
+    of their K-orbit, and a skipped neighbour stays forbidden in the later
     branches, as a searched one does.  Still S is found: if |H| >= 2, let
     A = phi(H) & N(r) and psi, in the group K generates, minimise
     a = min psi(A).  No k in that group has k(a) < a (k psi would give
@@ -244,7 +250,7 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
             else:
                 ties[g].add(w)
 
-    def grow(s_mask: int, size: int, nb_mask: int, ext: int, forb: int) -> None:
+    def grow(s_mask: int, size: int, nb_mask: int, forb: int, skip: int = 0) -> None:
         nonlocal nodes
         nodes += 1
         # a necessary condition for a non-empty ``todo`` in evaluate
@@ -252,6 +258,7 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
             nb_size = nb_mask.bit_count()
             if nb_size <= ub:
                 evaluate(s_mask, size, nb_mask, nb_size)
+        ext = nb_mask & ~forb
         while ext:
             u_bit = ext & -ext
             ext ^= u_bit
@@ -260,43 +267,23 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
             nb2 = (nb_mask | masks[u]) & ~s2
             bound = (nb2 & forb).bit_count()
             # committed boundary already too big, or fragment can no longer
-            # be the smaller side of any cut within the bound
-            if bound <= ub and (size + 1) * 2 <= n - bound:
-                grow(s2, size + 1, nb2, (ext | masks[u]) & ~s2 & ~forb, forb)
+            # be the smaller side of any cut within the bound; a skipped
+            # vertex is forbidden all the same
+            if bound <= ub and (size + 1) * 2 <= n - bound and not skip & u_bit:
+                grow(s2, size + 1, nb2, forb)
             forb |= u_bit
-    roots = range(n)
-    if automorphisms:
-        roots, seen = [], 0
-        for v in range(n):
-            if not seen >> v & 1:  # v is the smallest vertex of a new orbit
-                roots.append(v)
-                seen |= sum(_close_under({1 << v}, automorphisms))
     try:
-        for v in roots:
-            forb = (1 << v) - 1
-            grow(1 << v, 1, masks[v], 0, forb)  # the root alone; its branches follow
+        for v in mask_to_tuple(_orbit_minima(full, automorphisms)):
             fixers = [p for p in automorphisms if p[v] == v]
-            ext = masks[v] & ~forb
-            while ext:
-                u_bit = ext & -ext
-                ext ^= u_bit
-                u = u_bit.bit_length() - 1
-                # branch only on the smallest vertex of each orbit under the
-                # generators that fix v; the rest stay forbidden all the same
-                if not fixers or min(_close_under({u_bit}, fixers)) == u_bit:
-                    s2 = 1 << v | u_bit
-                    nb2 = (masks[v] | masks[u]) & ~s2
-                    bound = (nb2 & forb).bit_count()
-                    if bound <= ub and 4 <= n - bound:  # as in grow's loop
-                        grow(s2, 2, nb2, (ext | masks[u]) & ~s2 & ~forb, forb)
-                forb |= u_bit
+            skip = masks[v] & ~_orbit_minima(masks[v], fixers)
+            grow(1 << v, 1, masks[v], (1 << v) - 1, skip)
     except RecursionError:
         raise InconclusiveError(
             f"fragment search deeper than the recursion limit "
             f"({sys.getrecursionlimit()}) after {nodes} nodes", nodes) from None
     if automorphisms:
         ties = {g: _close_under(cuts, automorphisms) for g, cuts in ties.items()}
-    return ties, best, nodes
+    return ties, nodes
 
 
 def fragment_solve_many(graph: Graph, extras: Sequence[int],
@@ -317,14 +304,13 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
     masks = adjacency_masks(graph)
     seeds = dict(upper_bounds or {})
     autos = graph.automorphisms
-    ties, best, nodes = _fragment_search(masks, graph.n, extras, seeds, automorphisms=autos)
+    ties, nodes = _fragment_search(masks, graph.n, extras, seeds, automorphisms=autos)
     retry = [g for g in extras if not ties[g] and g in seeds]
     if retry:
-        ties2, best2, nodes2 = _fragment_search(masks, graph.n, retry, {},
-                                                automorphisms=autos)
+        ties2, nodes2 = _fragment_search(masks, graph.n, retry, {}, automorphisms=autos)
         nodes += nodes2
         for g in retry:
-            ties[g], best[g] = ties2[g], best2[g]
+            ties[g] = ties2[g]
     out: dict[int, ExtraConnResult] = {}
     for g in extras:
         stats = SolverStats(nodes)
@@ -332,7 +318,7 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
             out[g] = ExtraConnResult(g, INFINITY, None, "fragment", stats, ())
         else:
             cuts = tuple(sorted(map(mask_to_tuple, ties[g])))
-            out[g] = ExtraConnResult(g, int(best[g]), cuts[0], "fragment", stats, cuts)
+            out[g] = ExtraConnResult(g, len(cuts[0]), cuts[0], "fragment", stats, cuts)
     return out
 
 
@@ -361,7 +347,7 @@ def enumerate_min_cuts(graph: Graph, extra: int, known_value: int | None = None,
             raise InconclusiveError(f"C({graph.n}, {k}) subsets after {done} exceed "
                                     f"max_checks {max_checks}", done)
         done += math.comb(graph.n, k)
-        found = [c for _, c in _subset_cuts(graph, extra, [k], max_checks) if c is not None]
+        found = [c for is_cut, c in _subset_cuts(graph, extra, k) if is_cut]
         if found:
             return found
     return []

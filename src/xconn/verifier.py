@@ -133,10 +133,17 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
 
 
 def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> SweepReport:
-    """Evaluate the whole grid; cells are independent and may run in parallel
-    (the report is order-canonicalised, so the thread count never changes it)."""
+    """Evaluate the whole grid; cells are independent and may run in parallel.
+
+    Each named family runs once, in ``FAMILIES`` order, and an unknown one
+    raises ValueError.  Cells are built in report order (family, m, n, with
+    g sorted within a cell) and ``pool.map`` keeps it, so the thread count
+    never changes the report."""
+    for family in config.families:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
     cells = [(family, m, n, config)
-             for family in config.families
+             for family in FAMILIES if family in config.families
              for m, n in _cell_grid(config, family)]
     if threads > 1 and len(cells) > 1:
         # the fork start method starts every worker up front
@@ -144,10 +151,7 @@ def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> SweepReport:
             results = list(pool.map(_evaluate_cell, cells))
     else:
         results = [_evaluate_cell(c) for c in cells]
-    rows = [row for cell_rows in results for row in cell_rows]
-    order = {f: i for i, f in enumerate(FAMILIES)}
-    rows.sort(key=lambda r: (order[r.family], r.m, r.n, r.g))
-    return SweepReport(tuple(rows))
+    return SweepReport(tuple(row for cell_rows in results for row in cell_rows))
 
 
 CSV_HEADER = ("family,m,n,g,in_guard,formula,oracle,agree,"

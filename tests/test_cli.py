@@ -72,6 +72,15 @@ def test_product_dot_output(capsys):
     assert dot.startswith("graph G {") and 'label="(x1,y1)"' in dot
 
 
+def test_dot_output_escapes_quoted_labels(tmp_path, capsys):
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps({"n": 2, "edges": [[0, 1]], "labels": ['a"b', "c\\d"]}))
+    assert run(["gen", "--format", "dot", "--file", str(path)]) == 0
+    lines = out_of(capsys).splitlines()
+    assert lines[1] == '  0 [label="a\\"b"];'
+    assert lines[2] == '  1 [label="c\\\\d"];'
+
+
 def test_product_from_files(tmp_path, capsys):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["gen", "--family", "path", "--n", "3", "--out", str(f1)]) == 0

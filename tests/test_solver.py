@@ -502,8 +502,13 @@ def test_any_declared_generators_keep_every_answer(family, m, n, data):
 @pytest.mark.parametrize("family,m,n,extra,seeds,nodes", [
     ("cxc", 5, 6, 2, {2: 10}, 154_902),  # the benchmark's torus-probe cell
     ("cxc", 4, 4, 0, {}, 285),           # 582 with every neighbour of the root branched on
+    ("pxp", 6, 6, 3, {3: 5}, 49_243),    # the sweep's slowest cell; some roots have stabilisers
+    ("pxp-bare", 6, 6, 3, {3: 5}, 60_435),  # no declared maps: every root and branch searched
 ])
 def test_fragment_node_counts(family, m, n, extra, seeds, nodes):
     # node counts do not depend on the machine, so a search change shows here
-    res = fragment_solve_many(family_product(family, m, n).graph, [extra], seeds)[extra]
+    graph = family_product(family.removesuffix("-bare"), m, n).graph
+    if family.endswith("-bare"):
+        graph = Graph(graph.n, graph.adj)
+    res = fragment_solve_many(graph, [extra], seeds)[extra]
     assert res.stats.nodes == nodes

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from xconn import solver, verifier
 from xconn.cli import run
 from xconn.graph import make_cycle, make_path
@@ -44,6 +46,20 @@ def test_sweep_parallel_matches_serial():
     serial = to_csv(sweep(SMALL, threads=1))
     parallel = to_csv(sweep(SMALL, threads=2))
     assert serial == parallel
+
+
+def test_sweep_runs_each_named_family_once(capsys):
+    grid = ["--m-range", "3:3", "--n-range", "3:3", "--threads", "1"]
+    assert run(["sweep", "--families", "pxp,pxp"] + grid) == 0
+    twice = capsys.readouterr().out
+    assert run(["sweep", "--families", "pxp"] + grid) == 0
+    assert twice == capsys.readouterr().out
+    assert len(twice.splitlines()) == 1 + 3  # header and g = 0, 1, 2
+
+
+def test_sweep_rejects_an_unknown_family():
+    with pytest.raises(ValueError, match="unknown family 'bogus'"):
+        sweep(SweepConfig(families=("bogus",)))
 
 
 def test_sweep_explicit_g_records_out_of_guard_observationally():
