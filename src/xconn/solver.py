@@ -51,12 +51,12 @@ class CutVerdict:
     component_sizes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolverStats:
     nodes: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtraConnResult:
     extra: int
     value: int | float  # finite int or INFINITY
@@ -159,6 +159,8 @@ def _close_under(cuts: set[int], automorphisms: Sequence[Sequence[int]]) -> set[
 def _orbit_minima(mask: int, automorphisms: Sequence[Sequence[int]]) -> int:
     """The vertices of ``mask`` that are the smallest of their orbit under the
     generated group; ``mask`` must be a union of orbits."""
+    if not automorphisms:  # every orbit is a single vertex
+        return mask
     minima = seen = 0
     for v in mask_to_tuple(mask):
         if not seen >> v & 1:
@@ -187,6 +189,16 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
     down: the branch on u starts once the siblings popped before u are in
     F, so the carried (N(H) - F - popped) | N(u), less H + u and F, equals
     N(H + u) - F.
+
+    The branch on u is pruned when its committed boundary |N(H + u) & F|
+    exceeds ub (the largest best size) or n - 2|H + u|, past which H + u
+    cannot be the smaller side.  With the i siblings popped before u in F,
+    and H disjoint from F, that count is c + i + |N(u) & (F - N(H))|, where
+    c is |N(H) & F| at entry: each popped sibling lies in N(H), so F - N(H)
+    does not change along the loop.  Only the last term depends on u; c + i
+    only grows, ub only falls and n - 2|H + u| is fixed, so once c + i
+    passes either limit no later sibling can be searched and the loop ends.
+    N(H + u) is built only for a child that is searched.
 
     ``automorphisms`` (validated generators, e.g. ``Graph.automorphisms``)
     restrict the roots to the smallest vertex of each orbit; the tie sets
@@ -259,19 +271,27 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
             if nb_size <= ub:
                 evaluate(s_mask, size, nb_mask, nb_size)
         ext = nb_mask & ~forb
+        # a child's committed boundary is ``committed`` plus its neighbours
+        # in ``outer``; each popped sibling adds one to ``committed``
+        committed = (nb_mask & forb).bit_count()
+        outer = forb & ~nb_mask
+        limit = n - (size + 1) * 2
         while ext:
+            # no later child can pass the bound test below
+            if committed > ub or committed > limit:
+                return
             u_bit = ext & -ext
             ext ^= u_bit
             u = u_bit.bit_length() - 1
-            s2 = s_mask | u_bit
-            nb2 = (nb_mask | masks[u]) & ~s2
-            bound = (nb2 & forb).bit_count()
+            bound = committed + (masks[u] & outer).bit_count()
             # committed boundary already too big, or fragment can no longer
             # be the smaller side of any cut within the bound; a skipped
             # vertex is forbidden all the same
-            if bound <= ub and (size + 1) * 2 <= n - bound and not skip & u_bit:
-                grow(s2, size + 1, nb2, forb)
+            if bound <= ub and bound <= limit and not skip & u_bit:
+                s2 = s_mask | u_bit
+                grow(s2, size + 1, (nb_mask | masks[u]) & ~s2, forb)
             forb |= u_bit
+            committed += 1
     try:
         for v in mask_to_tuple(_orbit_minima(full, automorphisms)):
             fixers = [p for p in automorphisms if p[v] == v]
@@ -312,8 +332,8 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
         for g in retry:
             ties[g] = ties2[g]
     out: dict[int, ExtraConnResult] = {}
+    stats = SolverStats(nodes)  # the pass total, shared by every g
     for g in extras:
-        stats = SolverStats(nodes)
         if not ties[g]:
             out[g] = ExtraConnResult(g, INFINITY, None, "fragment", stats, ())
         else:

@@ -19,7 +19,7 @@ from .graph import Graph, min_degree
 from .products import FAMILIES, ProductGraph, cartesian_product, classify_cut, family_product
 from .solver import (INFINITY, check_layer_bounds, classical_connectivity, fragment_solve_many,
                      kappa_extra_fragment, min_cuts_grouped)
-from .witnesses import build_witnesses, validate_witness
+from .witnesses import WITNESS_KINDS, build_witnesses, validate_witness
 
 DEFAULT_GRIDS: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
     "pxp": ((3, 6), (3, 6)),
@@ -40,7 +40,7 @@ class SweepConfig:
     explicit_g: tuple[int, ...] | None = None  # None: every in-guard g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     family: str
     m: int
@@ -50,13 +50,13 @@ class SweepRow:
     formula_value: int | None
     oracle_value: int | float | None         # int, INFINITY, or None=inconclusive
     agree: bool | None
-    witness_sizes: tuple[tuple[str, int | None], ...]
+    witness_sizes: tuple[int | None, ...]    # in WITNESS_KINDS order
     witnesses_valid: bool | None
     layer_bounds_pass: bool | None
     cut_classes: str | None                  # "pass" | "fail" | "skip" (g=0 only)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepReport:
     rows: tuple[SweepRow, ...]
 
@@ -81,14 +81,14 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
         gs = list(range(0, limit + 1))
 
     formula: dict[int, int | None] = {}
-    sizes: dict[int, dict[str, int | None]] = {}
+    sizes: dict[int, tuple[int | None, ...]] = {}
     valid: dict[int, bool | None] = {}
     seeds: dict[int, int] = {}
     for g in gs:
         params = FamilyParams(family, m, n, g)
         formula[g] = kappa_formula(params).value if g <= limit else None
         cuts = build_witnesses(params)   # all None beyond the guard
-        sizes[g] = {w: None if c is None else len(c) for w, c in cuts.items()}
+        sizes[g] = tuple(None if c is None else len(c) for c in cuts.values())
         built = [c for c in cuts.values() if c is not None]
         ok = True
         for cut in built:
@@ -128,7 +128,7 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
             classes = "skip"
         rows.append(SweepRow(
             family, m, n, g, g <= limit, fv, ov, agree,
-            tuple(sizes[g].items()), valid[g], layer_pass, classes))
+            sizes[g], valid[g], layer_pass, classes))
     return rows
 
 
@@ -171,11 +171,10 @@ def _fmt(value) -> str:
 def to_csv(report: SweepReport) -> str:
     lines = [CSV_HEADER]
     for r in report.rows:
-        ws = dict(r.witness_sizes)
         lines.append(",".join([
             r.family, str(r.m), str(r.n), str(r.g), _fmt(r.in_guard),
             _fmt(r.formula_value), _fmt(r.oracle_value), _fmt(r.agree),
-            _fmt(ws.get("layers1")), _fmt(ws.get("layers2")), _fmt(ws.get("block")),
+            *map(_fmt, r.witness_sizes),
             _fmt(r.witnesses_valid), _fmt(r.layer_bounds_pass), _fmt(r.cut_classes),
         ]))
     return "\n".join(lines) + "\n"
@@ -191,7 +190,7 @@ def to_json_dict(report: SweepReport) -> dict:
                 "oracle": ("infinity" if r.oracle_value is INFINITY
                            else r.oracle_value),
                 "agree": r.agree,
-                "witness_sizes": dict(r.witness_sizes),
+                "witness_sizes": dict(zip(WITNESS_KINDS, r.witness_sizes)),
                 "witnesses_valid": r.witnesses_valid,
                 "layer_bounds_pass": r.layer_bounds_pass,
                 "cut_classes": r.cut_classes,

@@ -504,6 +504,7 @@ def test_any_declared_generators_keep_every_answer(family, m, n, data):
     ("cxc", 4, 4, 0, {}, 285),           # 582 with every neighbour of the root branched on
     ("pxp", 6, 6, 3, {3: 5}, 49_243),    # the sweep's slowest cell; some roots have stabilisers
     ("pxp-bare", 6, 6, 3, {3: 5}, 60_435),  # no declared maps: every root and branch searched
+    ("cxc", 6, 6, 0, {0: 12}, 343_399),  # vertex-transitive: one root, its stabiliser prunes
 ])
 def test_fragment_node_counts(family, m, n, extra, seeds, nodes):
     # node counts do not depend on the machine, so a search change shows here

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from pathlib import Path
 
 import pytest
@@ -7,9 +9,10 @@ from xconn.cli import run
 from xconn.graph import make_cycle, make_path
 from xconn.products import classify_cut, family_product
 from xconn.solver import INFINITY, enumerate_min_cuts
-from xconn.verifier import (SweepConfig, _evaluate_cell, check_cartesian_connectivity,
-                            check_min_cut_classification, report_failures, sweep,
-                            to_csv, to_json_dict)
+from xconn.verifier import (SweepConfig, SweepReport, _evaluate_cell,
+                            check_cartesian_connectivity, check_min_cut_classification,
+                            report_failures, sweep, to_csv, to_json_dict)
+from xconn.witnesses import WITNESS_KINDS
 
 SMALL = SweepConfig(families=("pxp",), m_range=(3, 4), n_range=(3, 4))
 REFERENCE_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "sweep_default.csv"
@@ -81,6 +84,21 @@ def test_json_report_shape():
     assert {"family", "m", "n", "g", "formula", "oracle", "agree",
             "witness_sizes"} <= set(row)
     assert "runtime_ms" not in row
+    assert list(row["witness_sizes"]) == list(WITNESS_KINDS)
+
+
+def test_kept_records_have_no_instance_dict():
+    row = _evaluate_cell(("pxp", 3, 3, SweepConfig()))[0]
+    assert len(row.witness_sizes) == len(WITNESS_KINDS)
+    res = solver.kappa_extra_fragment(family_product("pxp", 3, 3).graph, 0)
+    for record in (row, SweepReport((row,)), res, res.stats):
+        assert not hasattr(record, "__dict__")
+    # the process pool pickles rows
+    for record in (row, res):
+        assert pickle.loads(pickle.dumps(record)) == record
+    moved = dataclasses.replace(row, g=9)
+    assert (moved.g, row.g) == (9, 0) and moved.witness_sizes == row.witness_sizes
+    assert dataclasses.replace(res) == res
 
 
 def test_min_cut_classification_small_products():
