@@ -10,7 +10,7 @@ at an affected g, so every grid row still agrees; this script runs the exact
 solver on larger cells where the term IS active and reports the gap.  The
 formula column is blank at a g beyond the guard, as in ``xconn sweep``.
 
-Warning: C6 x C6 at g=2 takes about 2 s of exact solving (1.9 million
+Warning: C6 x C6 at g=2 takes about 2 s of exact solving (0.9 million
 fragment nodes) on a 2-core x86 machine running Python 3.11.
 
 Usage:

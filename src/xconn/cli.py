@@ -201,10 +201,12 @@ def cmd_sweep(args) -> int:
         if not text:
             return None
         try:
-            lo, hi = text.split(":")
-            return (int(lo), int(hi))
+            lo, hi = map(int, text.split(":"))
         except ValueError:
             raise ValueError(f"{flag} {text!r} is not lo:hi") from None
+        if lo > hi:
+            raise ValueError(f"{flag} {text!r} is reversed: lo > hi")
+        return (lo, hi)
     explicit = None
     if args.g_list:
         try:

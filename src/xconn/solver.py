@@ -127,6 +127,8 @@ def kappa_extra_subset(graph: Graph, extra: int, budget: int = 10 ** 8) -> Extra
     returned value is always exact.
     """
     _validate_solver_input(graph, extra)
+    if budget < 0:
+        raise ValueError(f"subset budget {budget} is negative")
     checks = 0
     # a cut must leave two components of size >= extra+1
     for k in range(1, graph.n - 2 * (extra + 1) + 1):
@@ -198,7 +200,14 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
     does not change along the loop.  Only the last term depends on u; c + i
     only grows, ub only falls and n - 2|H + u| is fixed, so once c + i
     passes either limit no later sibling can be searched and the loop ends.
-    N(H + u) is built only for a child that is searched.
+
+    A child that passes is entered only if it does work there: it is
+    evaluated (|H + u| >= min g + 1 and |N(H + u)| <= ub), or it can branch
+    (N(H + u) - F is not empty and its committed boundary is at most
+    n - 2|H + u| - 2).  Otherwise its own loop would return at once, since
+    its first test reads that same boundary against n - 2(|H + u| + 1), and
+    ub cannot fall in between because nothing is evaluated; so skipping it
+    changes the node count and nothing else.
 
     ``automorphisms`` (validated generators, e.g. ``Graph.automorphisms``)
     restrict the roots to the smallest vertex of each orbit; the tie sets
@@ -276,6 +285,7 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
         committed = (nb_mask & forb).bit_count()
         outer = forb & ~nb_mask
         limit = n - (size + 1) * 2
+        child_evaluable = size + 1 >= min_size
         while ext:
             # no later child can pass the bound test below
             if committed > ub or committed > limit:
@@ -289,7 +299,11 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
             # vertex is forbidden all the same
             if bound <= ub and bound <= limit and not skip & u_bit:
                 s2 = s_mask | u_bit
-                grow(s2, size + 1, (nb_mask | masks[u]) & ~s2, forb)
+                nb2 = (nb_mask | masks[u]) & ~s2
+                # enter only a child that can branch or is evaluated
+                if ((bound <= limit - 2 and nb2 & ~forb)
+                        or (child_evaluable and nb2.bit_count() <= ub)):
+                    grow(s2, size + 1, nb2, forb)
             forb |= u_bit
             committed += 1
     try:
@@ -316,14 +330,26 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
     are recomputed unseeded, so results never depend on seed correctness.
     Each result carries every minimum cut of its g, so ``min_cuts_grouped``
     can read them without a second search.
+
+    The search, and any retry, runs on an isomorphic copy whose vertices
+    are sorted by ascending degree (a stable sort, so a regular graph keeps
+    its ids), with the declared maps conjugated to match.  Roots and
+    branches come in id order, so low-degree vertices, whose fragments have
+    small boundaries, come first and lower the bound early.  The tie sets
+    are the minimum cuts of the copy; each is mapped back to the original
+    ids once and sorted, so values, witnesses and cut lists do not depend
+    on the order, only node counts do.
     """
     extras = sorted(set(extras))
     if not extras:
         return {}
     _validate_solver_input(graph, extras[0])  # the smallest g is the one that can be negative
-    masks = adjacency_masks(graph)
+    # the copy's vertex i is the graph's vertex order[i]; the graph's v is pos[v]
+    order = sorted(range(graph.n), key=graph.degree)
+    pos = {v: i for i, v in enumerate(order)}
+    masks = [sum(1 << pos[u] for u in graph.adj[v]) for v in order]
+    autos = [tuple(pos[p[v]] for v in order) for p in graph.automorphisms]
     seeds = dict(upper_bounds or {})
-    autos = graph.automorphisms
     ties, nodes = _fragment_search(masks, graph.n, extras, seeds, automorphisms=autos)
     retry = [g for g in extras if not ties[g] and g in seeds]
     if retry:
@@ -331,13 +357,16 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
         nodes += nodes2
         for g in retry:
             ties[g] = ties2[g]
+    # one cut tuple per mask, in the original ids, shared by every g it is minimum at
+    cut_of = {mask: tuple(sorted(order[i] for i in mask_to_tuple(mask)))
+              for mask in set().union(*ties.values())}
     out: dict[int, ExtraConnResult] = {}
     stats = SolverStats(nodes)  # the pass total, shared by every g
     for g in extras:
         if not ties[g]:
             out[g] = ExtraConnResult(g, INFINITY, None, "fragment", stats, ())
         else:
-            cuts = tuple(sorted(map(mask_to_tuple, ties[g])))
+            cuts = tuple(sorted(cut_of[mask] for mask in ties[g]))
             out[g] = ExtraConnResult(g, len(cuts[0]), cuts[0], "fragment", stats, cuts)
     return out
 

@@ -51,6 +51,12 @@ def test_exact_budget_inconclusive():
                 "--solver", "subset", "--budget", "2"]) == 3
 
 
+def test_exact_negative_budget_reports_error(capsys):
+    assert run(["exact", "--family", "pxp", "--m", "3", "--n", "3", "--g", "0",
+                "--solver", "subset", "--budget", "-1"]) == 1
+    assert capsys.readouterr().err == "error: subset budget -1 is negative\n"
+
+
 def test_gen_exact_round_trip(tmp_path, capsys):
     path = tmp_path / "torus.json"
     assert run(["gen", "--family", "cxc", "--m", "4", "--n", "4",
@@ -231,6 +237,14 @@ def test_graph_labelled_product_is_not_a_product(tmp_path, capsys):
 def test_sweep_range_not_lo_hi_reports_error(capsys, text):
     assert run(["sweep", "--families", "pxp", "--m-range", text, "--threads", "1"]) == 1
     assert capsys.readouterr().err == f"error: --m-range {text!r} is not lo:hi\n"
+
+
+@pytest.mark.parametrize("flag", ["--m-range", "--n-range"])
+def test_sweep_reversed_range_reports_error(capsys, flag):
+    assert run(["sweep", "--families", "pxp", flag, "5:3", "--threads", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} '5:3' is reversed: lo > hi\n"
+    assert captured.out == ""
 
 
 def test_sweep_g_list_not_integers_reports_error(capsys):
