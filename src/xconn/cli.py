@@ -17,13 +17,14 @@ from dataclasses import asdict
 
 from . import graph as graphmod
 from . import products as productsmod
-from .formulas import (DomainError, FamilyParams, ceiling_identity, kappa_closed_form,
-                       kappa_formula)
-from .products import FAMILIES, ProductGraph, classify_cut, family_product
+from .formulas import (FAMILIES, IDENTITY_KINDS, DomainError, FamilyParams, ceiling_identity,
+                       kappa_closed_form, kappa_formula)
+from .products import ProductGraph, classify_cut, family_product
 from .solver import (INFINITY, InconclusiveError, check_layer_bounds, kappa_extra_fragment,
                      kappa_extra_subset, result_to_json_dict)
 from .verifier import (SweepConfig, report_failures, sweep, to_csv, to_json_dict)
-from .witnesses import WitnessError, build_witness, plan_witness, validate_witness
+from .witnesses import (WITNESS_KINDS, WitnessError, build_witness, plan_witness,
+                        validate_witness)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -94,7 +95,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_product(args) -> int:
-    if args.file1 and args.file2:
+    if bool(args.file1) != bool(args.file2):
+        raise ValueError(f"a product of two files needs {'--file2' if args.file1 else '--file1'}")
+    if args.file1:
         g1, _ = _load_any(args.file1)
         g2, _ = _load_any(args.file2)
         build = (productsmod.strong_product if args.kind == "strong"
@@ -275,7 +278,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("witness", help="construct an explicit optimal-size cut")
     add_common(p, FAMILIES, need_g=True)
-    p.add_argument("--which", choices=("layers1", "layers2", "block"), required=True)
+    p.add_argument("--which", choices=WITNESS_KINDS, required=True)
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p.set_defaults(func=cmd_witness)
 
@@ -292,8 +295,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_check_layers)
 
     p = sub.add_parser("identity", help="check one block-size ceiling identity")
-    p.add_argument("--kind", choices=("path_path", "cycle_path", "cycle_cycle"),
-                   required=True)
+    p.add_argument("--kind", choices=IDENTITY_KINDS, required=True)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_identity)

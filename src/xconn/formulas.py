@@ -9,6 +9,12 @@ Families and their formulas (valid only inside the stated g guard):
   cxc  Cm x Cn, m,n >= 4:  min{ 2m, 2n, ceil(4*sqrt(g+1)) + 4 }
        guard  g <= min{ n*floor((m-2)/2) - 1, m*floor((n-2)/2) - 1 }
 
+They differ only in which factors are cycles: with the ``CYCLES`` flags c1,
+c2 (1 for a cycle factor) and p = (1+c1)(1+c2), each line above is
+
+  m >= 3+c1, n >= 3+c2:  min{ (1+c2)m, (1+c1)n, ceil(2*sqrt(p(g+1))) + p }
+       guard  g <= min{ n*floor((m-1-c1)/2) - 1, m*floor((n-1-c2)/2) - 1 }
+
 The three min-terms are named after the witness cuts that realise them:
 'layers1' (whole factor-1 layers), 'layers2' (whole factor-2 layers) and
 'block' (the boundary of a corner/interval block).  All ceilings are computed
@@ -20,11 +26,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-FAMILY_MINS = {"pxp": (3, 3), "cxp": (4, 3), "cxc": (4, 4)}
+# whether factor 1 and factor 2 are cycles (1) or paths (0)
+CYCLES = {"pxp": (0, 0), "cxp": (1, 0), "cxc": (1, 1)}
+FAMILIES = tuple(CYCLES)
+FAMILY_MINS = {family: (3 + c1, 3 + c2) for family, (c1, c2) in CYCLES.items()}
+TERMS = ("layers1", "layers2", "block")
+# below the least orders: order k of the complete smaller factor, and
+# whether the other factor is a cycle (c = 1) or a path (c = 0)
+SMALL_CASES = {"p1p": (1, 0), "p2p": (2, 0), "c3p": (3, 0), "c3c": (3, 1)}
 
 
 class DomainError(ValueError):
     """Parameters outside the region where a closed form is asserted."""
+
+
+def family_cycles(family: str) -> tuple[int, int]:
+    """The (c1, c2) cycle flags of a family; ValueError for an unknown one."""
+    if family not in CYCLES:
+        raise ValueError(f"unknown family {family!r}")
+    return CYCLES[family]
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -48,15 +68,13 @@ def ceil_mul_sqrt(c: int, x: int) -> int:
 
 @dataclass(frozen=True)
 class FamilyParams:
-    family: str  # "pxp" | "cxp" | "cxc"
+    family: str  # a key of CYCLES
     m: int
     n: int
     g: int
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILY_MINS:
-            raise ValueError(f"unknown family {self.family!r}")
-        min_m, min_n = FAMILY_MINS[self.family]
+        min_m, min_n = (3 + c for c in family_cycles(self.family))
         if self.m < min_m or self.n < min_n:
             raise ValueError(
                 f"family {self.family} needs m >= {min_m}, n >= {min_n}; "
@@ -67,13 +85,8 @@ class FamilyParams:
 
 def guard_limit(family: str, m: int, n: int) -> int:
     """Largest g for which the family's closed form is asserted."""
-    if family == "pxp":
-        return min(n * ((m - 1) // 2) - 1, m * ((n - 1) // 2) - 1)
-    if family == "cxp":
-        return min(n * ((m - 2) // 2) - 1, m * ((n - 1) // 2) - 1)
-    if family == "cxc":
-        return min(n * ((m - 2) // 2) - 1, m * ((n - 2) // 2) - 1)
-    raise ValueError(f"unknown family {family!r}")
+    c1, c2 = family_cycles(family)
+    return min(n * ((m - 1 - c1) // 2) - 1, m * ((n - 1 - c2) // 2) - 1)
 
 
 def guard(params: FamilyParams) -> bool:
@@ -81,12 +94,11 @@ def guard(params: FamilyParams) -> bool:
 
 
 def formula_terms(params: FamilyParams) -> dict[str, int]:
-    m, n, g = params.m, params.n, params.g
-    if params.family == "pxp":
-        return {"layers1": m, "layers2": n, "block": ceil_mul_sqrt(2, g + 1) + 1}
-    if params.family == "cxp":
-        return {"layers1": m, "layers2": 2 * n, "block": ceil_mul_sqrt(2, 2 * (g + 1)) + 2}
-    return {"layers1": 2 * m, "layers2": 2 * n, "block": ceil_mul_sqrt(4, g + 1) + 4}
+    c1, c2 = CYCLES[params.family]
+    p = (1 + c1) * (1 + c2)
+    values = ((1 + c2) * params.m, (1 + c1) * params.n,
+              ceil_mul_sqrt(2, p * (params.g + 1)) + p)
+    return dict(zip(TERMS, values))
 
 
 @dataclass(frozen=True)
@@ -111,30 +123,25 @@ def kappa_formula(params: FamilyParams) -> FormulaResult:
 
 def small_case_limit(which: str, n: int) -> int:
     """Largest g for which the degenerate-family value is asserted."""
-    if which == "p1p":
-        return (n - 1) // 2 - 1
-    if which == "p2p":
-        return 2 * ((n - 1) // 2) - 1
-    if which == "c3p":
-        return 3 * ((n - 1) // 2) - 1
-    if which == "c3c":
-        return 3 * ((n - 2) // 2) - 1
-    raise ValueError(f"unknown small case {which!r}")
+    if which not in SMALL_CASES:
+        raise ValueError(f"unknown small case {which!r}")
+    k, c = SMALL_CASES[which]
+    return k * ((n - 1 - c) // 2) - 1
 
 
 def kappa_small_case(which: str, n: int, g: int) -> int:
     """kappa_g for the families below the main theorems' order thresholds:
-    P1 x Pn -> 1, P2 x Pn -> 2, C3 x Pn -> 3, C3 x Cn -> 6."""
+    P1 x Pn -> 1, P2 x Pn -> 2, C3 x Pn -> 3, C3 x Cn -> 6, that is k(1+c)
+    for g <= k*floor((n-1-c)/2) - 1 with (k, c) from ``SMALL_CASES``."""
     if g < 0:
         raise ValueError("g must be non-negative")
-    min_n = 3 if which == "c3c" else 1
-    if n < min_n:
-        raise ValueError(f"small case {which} needs n >= {min_n}")
-    if g > small_case_limit(which, n):
-        raise DomainError(
-            f"g={g} exceeds the stated bound {small_case_limit(which, n)} "
-            f"for {which} with n={n}")
-    return {"p1p": 1, "p2p": 2, "c3p": 3, "c3c": 6}[which]
+    limit = small_case_limit(which, n)
+    k, c = SMALL_CASES[which]
+    if n < 1 + 2 * c:
+        raise ValueError(f"small case {which} needs n >= {1 + 2 * c}")
+    if g > limit:
+        raise DomainError(f"g={g} exceeds the stated bound {limit} for {which} with n={n}")
+    return k * (1 + c)
 
 
 def kappa_closed_form(family: str, m: int, n: int, g: int) -> int:
@@ -148,22 +155,19 @@ def kappa_closed_form(family: str, m: int, n: int, g: int) -> int:
             return kappa_small_case("p1p", hi, g)
         if lo == 2:
             return kappa_small_case("p2p", hi, g)
-        return kappa_formula(FamilyParams("pxp", m, n, g)).value
-    if family == "cxp":
+    elif family == "cxp":
         if m < 3:
             raise ValueError("cycle order must be >= 3")
         if m == 3:
             return kappa_small_case("c3p", n, g)
         if n < 3:
             raise DomainError(f"C_m x P_n with n={n} < 3 has no asserted closed form")
-        return kappa_formula(FamilyParams("cxp", m, n, g)).value
-    if family == "cxc":
+    elif family == "cxc":
         if min(m, n) < 3:
             raise ValueError("cycle order must be >= 3")
         if min(m, n) == 3:
             return kappa_small_case("c3c", max(m, n), g)
-        return kappa_formula(FamilyParams("cxc", m, n, g)).value
-    raise ValueError(f"unknown family {family!r}")
+    return kappa_formula(FamilyParams(family, m, n, g)).value  # an unknown family raises
 
 
 IDENTITY_KINDS = ("path_path", "cycle_path", "cycle_cycle")
@@ -182,18 +186,15 @@ def ceiling_identity(kind: str, g: int) -> bool:
     """
     if g < 0:
         raise ValueError("g must be non-negative")
+    if kind not in IDENTITY_KINDS:
+        raise ValueError(f"unknown identity kind {kind!r}")
     x = g + 1
-    if kind == "path_path":
-        q = ceil_sqrt(x)
-        return q + ceil_div(x, q) + 1 == ceil_mul_sqrt(2, x) + 1
-    if kind == "cycle_path":
-        y = 2 * x
-        q = ceil_sqrt(y)
-        return q + ceil_div(y, q) + 2 == ceil_mul_sqrt(2, y) + 2
     if kind == "cycle_cycle":
         q = ceil_sqrt(x)
         return 2 * q + 2 * ceil_div(x, q) + 4 == ceil_mul_sqrt(4, x) + 4
-    raise ValueError(f"unknown identity kind {kind!r}")
+    p = 1 if kind == "path_path" else 2  # so p*x is x or y
+    q = ceil_sqrt(p * x)
+    return q + ceil_div(p * x, q) + p == ceil_mul_sqrt(2, p * x) + p
 
 
 def verify_ceiling_identities(max_g: int) -> dict[str, list[int]]:

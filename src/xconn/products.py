@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Iterable
 
+from .formulas import FAMILIES, family_cycles  # FAMILIES is re-exported
 from .graph import (Graph, components, from_edges, induced_subgraph, make_cycle, make_path)
 from .graph import from_doc as graph_from_doc
 
@@ -106,19 +107,12 @@ def cartesian_product(g1: Graph, g2: Graph) -> ProductGraph:
     return _product(g1, g2, "cartesian")
 
 
-FAMILIES = ("pxp", "cxp", "cxc")
-
-
 def family_product(family: str, m: int, n: int, kind: str = "strong") -> ProductGraph:
-    """Build a path/cycle product: 'pxp' = Pm x Pn, 'cxp' = Cm x Pn, 'cxc' = Cm x Cn."""
-    if family == "pxp":
-        f1, f2 = make_path(m, "x"), make_path(n, "y")
-    elif family == "cxp":
-        f1, f2 = make_cycle(m, "x"), make_path(n, "y")
-    elif family == "cxc":
-        f1, f2 = make_cycle(m, "x"), make_cycle(n, "y")
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    """Build a path/cycle product: 'pxp' = Pm x Pn, 'cxp' = Cm x Pn, 'cxc' = Cm x Cn.
+    Each factor is a cycle or a path as the family's ``CYCLES`` flags say."""
+    c1, c2 = family_cycles(family)
+    f1 = (make_cycle if c1 else make_path)(m, "x")
+    f2 = (make_cycle if c2 else make_path)(n, "y")
     return _product(f1, f2, kind)
 
 

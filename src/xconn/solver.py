@@ -371,11 +371,9 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
     return out
 
 
-def kappa_extra_fragment(graph: Graph, extra: int,
-                         upper_bound: int | None = None) -> ExtraConnResult:
+def kappa_extra_fragment(graph: Graph, extra: int) -> ExtraConnResult:
     """Exact kappa_g by connected-fragment enumeration (always terminates)."""
-    bounds = {extra: upper_bound} if upper_bound is not None else None
-    return fragment_solve_many(graph, [extra], bounds)[extra]
+    return fragment_solve_many(graph, [extra])[extra]
 
 
 def enumerate_min_cuts(graph: Graph, extra: int, known_value: int | None = None,

@@ -14,9 +14,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
-from .formulas import FamilyParams, FAMILY_MINS, guard_limit, kappa_formula
+from .formulas import FAMILIES, FAMILY_MINS, FamilyParams, guard_limit, kappa_formula
 from .graph import Graph, min_degree
-from .products import FAMILIES, ProductGraph, cartesian_product, classify_cut, family_product
+from .products import ProductGraph, cartesian_product, classify_cut, family_product
 from .solver import (INFINITY, check_layer_bounds, classical_connectivity, fragment_solve_many,
                      kappa_extra_fragment, min_cuts_grouped)
 from .witnesses import WITNESS_KINDS, build_witnesses, validate_witness
@@ -115,9 +115,7 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
     for g in gs:
         ov = oracle[g]
         fv = formula[g]
-        agree = None
-        if fv is not None and ov is not None:
-            agree = (ov == fv)
+        agree = None if fv is None or ov is None else ov == fv
         layer_pass: bool | None = None
         classes: str | None = None
         if g in min_cuts:
@@ -135,16 +133,20 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
 def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> SweepReport:
     """Evaluate the whole grid; cells are independent and may run in parallel.
 
-    Each named family runs once, in ``FAMILIES`` order, and an unknown one
-    raises ValueError.  Cells are built in report order (family, m, n, with
-    g sorted within a cell) and ``pool.map`` keeps it, so the thread count
-    never changes the report."""
+    Each named family runs once, in ``FAMILIES`` order.  An unknown family or
+    a grid with no cell (a reversed range selects none) raises ValueError.
+    Cells are built in report order (family, m, n, g sorted within a cell)
+    and ``pool.map`` keeps it, so the thread count never changes the report."""
     for family in config.families:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
     cells = [(family, m, n, config)
              for family in FAMILIES if family in config.families
              for m, n in _cell_grid(config, family)]
+    if not cells:
+        least = ", ".join(f"{f} {FAMILY_MINS[f]}" for f in config.families) or "none"
+        raise ValueError(f"the sweep grid selects no cell: m_range {config.m_range}, "
+                         f"n_range {config.n_range}, least orders (m, n) {least}")
     if threads > 1 and len(cells) > 1:
         # the fork start method starts every worker up front
         with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:

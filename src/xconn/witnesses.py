@@ -8,20 +8,20 @@ vertex, so a placed interval never wraps.  The three kinds are named after
 the formula term they realise:
 
   layers1  the whole factor 1 times the first (n-1-c2)//2 vertices of
-           factor 2 (c2 = 1 for a cycle factor 2, else 0), so N(B) is one
-           factor-1 layer for a path factor 2 and two for a cycle;
+           factor 2 (c2 = 1 for a cycle factor 2, else 0; see ``CYCLES``),
+           so N(B) is one factor-1 layer for a path factor 2 and two for a cycle;
   layers2  the same with the factors swapped;
   block    an a x b block of at least g+1 vertices, realising the ceiling
            term.
 
-For 'pxp' and 'cxc' the block is the square split q = ceil(sqrt(g+1)) by
-ceil((g+1)/q).  For 'cxp' it is the first a x ceil((g+1)/a) that fits among
-those with the least boundary a + 2*ceil((g+1)/a) + 2, in increasing a; the
-square split overshoots there because the cyclic dimension pays twice per
-column.  On 'cxc' the square split's size 2q+2p+4 exceeds the formula's
-ceiling term for some g (first at g=2), so callers comparing sizes against
-the closed form must be prepared for that mismatch outside the verified
-grids.
+When both factors are paths or both cycles (c1 == c2), the block is the
+square split q = ceil(sqrt(g+1)) by ceil((g+1)/q).  Otherwise (Cm x Pn) it
+is the first a x ceil((g+1)/a) that fits among those with the least boundary
+a + 2*ceil((g+1)/a) + 2, in increasing a; the square split overshoots there
+because the cyclic dimension pays twice per column.  On Cm x Cn the square
+split's size 2q+2p+4 exceeds the formula's ceiling term for some g (first at
+g=2), so callers comparing sizes against the closed form must be prepared for
+that mismatch outside the verified grids.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .formulas import DomainError, FamilyParams, ceil_div, ceil_sqrt, formula_terms, guard
+from .formulas import (CYCLES, TERMS, DomainError, FamilyParams, ceil_div, ceil_sqrt,
+                       formula_terms, guard)
 from .products import ProductGraph
 from .solver import CutVerdict, check_g_extra_cut
 
-WITNESS_KINDS = ("layers1", "layers2", "block")
+WITNESS_KINDS = TERMS
 
 
 class WitnessError(ValueError):
@@ -65,7 +66,7 @@ def plan_witness(params: FamilyParams, which: str) -> WitnessSpec:
     return WitnessSpec(params, which, dict(formula_terms(params))[which])
 
 
-def _place(size: int, cycle: bool, length: int) -> range | None:
+def _place(size: int, cycle: int, length: int) -> range | None:
     """An interval of a factor: it starts at vertex 0 on a path and 1 on a
     cycle, and it fits (else None) when it ends before the last vertex, so it
     never wraps."""
@@ -82,10 +83,10 @@ def _neighbourhood(m: int, n: int, rows: range, cols: range) -> tuple[int, ...]:
                  if i not in rows or j not in cols)
 
 
-def _block_shapes(params: FamilyParams) -> list[tuple[int, int]]:
+def _block_shapes(g: int, cycle1: int, cycle2: int) -> list[tuple[int, int]]:
     """The a x b block sizes to try for the block cut, in order."""
-    x = params.g + 1
-    if params.family != "cxp":
+    x = g + 1
+    if cycle1 == cycle2:
         q = ceil_sqrt(x)
         return [(q, ceil_div(x, q))]
     # with r = ceil(sqrt(2x)), a least size s has a + 2 <= s <= size(r) < 2r + 2
@@ -98,14 +99,14 @@ def build_witness(spec: WitnessSpec) -> tuple[int, ...]:
     """The witness vertex set as sorted internal product ids (row-major i*n+j)."""
     params = spec.params
     m, n = params.m, params.n
-    cycle1, cycle2 = params.family != "pxp", params.family == "cxc"
+    cycle1, cycle2 = CYCLES[params.family]
     if spec.which == "layers1":
         blocks = [(range(m), _place(n, cycle2, (n - 1 - cycle2) // 2))]
     elif spec.which == "layers2":
         blocks = [(_place(m, cycle1, (m - 1 - cycle1) // 2), range(n))]
     else:
         blocks = [(_place(m, cycle1, a), _place(n, cycle2, b))
-                  for a, b in _block_shapes(params)]
+                  for a, b in _block_shapes(params.g, cycle1, cycle2)]
     for rows, cols in blocks:
         if rows is not None and cols is not None:
             return _neighbourhood(m, n, rows, cols)

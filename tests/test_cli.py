@@ -96,6 +96,16 @@ def test_product_from_files(tmp_path, capsys):
     assert doc["n"] == 12 and doc["product"]["kind"] == "strong"
 
 
+@pytest.mark.parametrize("given, missing", [("--file1", "--file2"), ("--file2", "--file1")])
+def test_product_from_one_file_names_the_missing_flag(tmp_path, capsys, given, missing):
+    path = tmp_path / "p3.json"
+    assert run(["gen", "--family", "path", "--n", "3", "--out", str(path)]) == 0
+    assert run(["product", given, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: a product of two files needs {missing}\n"
+    assert captured.out == ""
+
+
 def test_witness_command(capsys):
     assert run(["witness", "--family", "pxp", "--m", "6", "--n", "6", "--g", "2",
                 "--which", "block", "--format", "json"]) == 0
@@ -244,6 +254,14 @@ def test_sweep_reversed_range_reports_error(capsys, flag):
     assert run(["sweep", "--families", "pxp", flag, "5:3", "--threads", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {flag} '5:3' is reversed: lo > hi\n"
+    assert captured.out == ""
+
+
+def test_sweep_grid_without_cells_reports_error(capsys):
+    assert run(["sweep", "--families", "pxp", "--m-range", "1:2", "--threads", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: the sweep grid selects no cell: m_range (1, 2), "
+                            "n_range None, least orders (m, n) pxp (3, 3)\n")
     assert captured.out == ""
 
 

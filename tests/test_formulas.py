@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xconn.formulas import (DomainError, FamilyParams, ceil_div, ceil_mul_sqrt, ceil_sqrt,
-                            ceiling_identity, formula_terms, guard, guard_limit,
-                            kappa_closed_form, kappa_formula, kappa_small_case,
+from xconn.formulas import (FAMILIES, FAMILY_MINS, TERMS, DomainError, FamilyParams, ceil_div,
+                            ceil_mul_sqrt, ceil_sqrt, ceiling_identity, formula_terms, guard,
+                            guard_limit, kappa_closed_form, kappa_formula, kappa_small_case,
                             small_case_limit, verify_ceiling_identities)
 
 
@@ -145,3 +145,66 @@ def test_block_term_is_min_boundary_for_cylinder():
         x = g + 1
         best = min(a + 2 * ceil_div(x, a) for a in range(1, ceil_mul_sqrt(2, 2 * x) + 3))
         assert best + 2 == ceil_mul_sqrt(2, 2 * x) + 2, g
+
+
+# The paper's per-family expressions, written out one by one as the reference
+# for the functions derived from the CYCLES and SMALL_CASES tables.
+PAPER_FAMILIES = {
+    "pxp": {"mins": (3, 3),
+            "terms": lambda m, n, g: (m, n, bisect_ceil_mul_sqrt(2, g + 1) + 1),
+            "guard": lambda m, n: min(n * ((m - 1) // 2) - 1, m * ((n - 1) // 2) - 1)},
+    "cxp": {"mins": (4, 3),
+            "terms": lambda m, n, g: (m, 2 * n, bisect_ceil_mul_sqrt(2, 2 * (g + 1)) + 2),
+            "guard": lambda m, n: min(n * ((m - 2) // 2) - 1, m * ((n - 1) // 2) - 1)},
+    "cxc": {"mins": (4, 4),
+            "terms": lambda m, n, g: (2 * m, 2 * n, bisect_ceil_mul_sqrt(4, g + 1) + 4),
+            "guard": lambda m, n: min(n * ((m - 2) // 2) - 1, m * ((n - 2) // 2) - 1)},
+}
+PAPER_SMALL_CASES = {
+    "p1p": (1, lambda n: (n - 1) // 2 - 1),
+    "p2p": (2, lambda n: 2 * ((n - 1) // 2) - 1),
+    "c3p": (3, lambda n: 3 * ((n - 1) // 2) - 1),
+    "c3c": (6, lambda n: 3 * ((n - 2) // 2) - 1),
+}
+G_SPREAD = sorted({*range(0, 64), *(int(1.37 ** k) for k in range(14, 40)), 200_000})
+
+
+def test_family_table_matches_the_paper():
+    assert FAMILIES == tuple(PAPER_FAMILIES)
+    assert FAMILY_MINS == {f: ref["mins"] for f, ref in PAPER_FAMILIES.items()}
+    assert tuple(formula_terms(FamilyParams("pxp", 3, 3, 0))) == TERMS
+
+
+def test_guards_and_terms_match_the_paper_per_family():
+    for family, ref in PAPER_FAMILIES.items():
+        min_m, min_n = ref["mins"]
+        with pytest.raises(ValueError):
+            FamilyParams(family, min_m - 1, min_n, 0)
+        with pytest.raises(ValueError):
+            FamilyParams(family, min_m, min_n - 1, 0)
+        for m in range(min_m, 60):
+            for n in range(min_n, 60):
+                limit = ref["guard"](m, n)
+                assert guard_limit(family, m, n) == limit, (family, m, n)
+                for g in (0, limit // 2, limit):
+                    res = kappa_formula(FamilyParams(family, m, n, g))
+                    assert tuple(v for _, v in res.terms) == ref["terms"](m, n, g)
+                    assert res.value == min(ref["terms"](m, n, g)), (family, m, n, g)
+        # the block term depends on g alone; the layer terms on m and n alone
+        for g in G_SPREAD:
+            terms = formula_terms(FamilyParams(family, 59, 58, g))
+            assert tuple(terms.values()) == ref["terms"](59, 58, g), (family, g)
+
+
+def test_small_cases_match_the_paper():
+    for which, (value, limit_of) in PAPER_SMALL_CASES.items():
+        min_n = 3 if which == "c3c" else 1
+        with pytest.raises(ValueError):
+            kappa_small_case(which, min_n - 1, 0)
+        for n in range(min_n, 400):
+            limit = limit_of(n)
+            assert small_case_limit(which, n) == limit, (which, n)
+            if limit >= 0:
+                assert kappa_small_case(which, n, limit) == value
+            with pytest.raises(DomainError):
+                kappa_small_case(which, n, limit + 1)

@@ -97,8 +97,9 @@ def test_infinity_cases():
 def test_seeding_never_changes_the_answer():
     g = family_product("pxp", 4, 4).graph
     plain = kappa_extra_fragment(g, 1)
-    seeded = kappa_extra_fragment(g, 1, upper_bound=4)
-    too_low = kappa_extra_fragment(g, 1, upper_bound=2)  # forces the unseeded rerun
+    seeded = fragment_solve_many(g, [1], {1: 4})[1]
+    too_low = fragment_solve_many(g, [1], {1: 2})[1]  # forces the unseeded rerun
+    assert too_low.stats.nodes > plain.stats.nodes  # the failed pass plus the rerun
     assert plain.value == seeded.value == too_low.value == 4
     assert plain.witness == seeded.witness == too_low.witness
 

@@ -65,6 +65,23 @@ def test_sweep_rejects_an_unknown_family():
         sweep(SweepConfig(families=("bogus",)))
 
 
+@pytest.mark.parametrize("config, message", [
+    (SweepConfig(families=("pxp",), m_range=(5, 3)),
+     "m_range (5, 3), n_range None, least orders (m, n) pxp (3, 3)"),
+    (SweepConfig(families=("cxc", "pxp"), n_range=(6, 4)),
+     "m_range None, n_range (6, 4), least orders (m, n) cxc (4, 4), pxp (3, 3)"),
+    (SweepConfig(families=("pxp",), m_range=(1, 2)),
+     "m_range (1, 2), n_range None, least orders (m, n) pxp (3, 3)"),
+    (SweepConfig(families=("cxp", "cxc"), m_range=(3, 3)),
+     "m_range (3, 3), n_range None, least orders (m, n) cxp (4, 3), cxc (4, 4)"),
+    (SweepConfig(families=()), "m_range None, n_range None, least orders (m, n) none"),
+])
+def test_sweep_rejects_a_grid_without_cells(config, message):
+    with pytest.raises(ValueError) as info:
+        sweep(config)
+    assert str(info.value) == f"the sweep grid selects no cell: {message}"
+
+
 def test_sweep_explicit_g_records_out_of_guard_observationally():
     config = SweepConfig(families=("pxp",), m_range=(3, 3), n_range=(3, 3),
                          explicit_g=(0, 5))
