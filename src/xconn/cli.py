@@ -20,8 +20,8 @@ from . import products as productsmod
 from .formulas import (FAMILIES, IDENTITY_KINDS, DomainError, FamilyParams, ceiling_identity,
                        kappa_closed_form, kappa_formula)
 from .products import ProductGraph, classify_cut, family_product
-from .solver import (INFINITY, InconclusiveError, check_layer_bounds, kappa_extra_fragment,
-                     kappa_extra_subset, result_to_json_dict)
+from .solver import (INFINITY, SUBSET_BUDGET, InconclusiveError, check_layer_bounds,
+                     kappa_extra_fragment, kappa_extra_subset, result_to_json_dict)
 from .verifier import (SweepConfig, report_failures, sweep, to_csv, to_json_dict)
 from .witnesses import (WITNESS_KINDS, WitnessError, build_witness, plan_witness,
                         validate_witness)
@@ -103,8 +103,10 @@ def cmd_product(args) -> int:
         build = (productsmod.strong_product if args.kind == "strong"
                  else productsmod.cartesian_product)
         pg = build(g1, g2)
-    else:
+    elif args.family:
         pg = family_product(args.family, args.m, args.n, args.kind)
+    else:
+        raise ValueError("a product needs --family or --file1 and --file2")
     _emit(_render_graph(pg.graph, pg, args.format), args.out)
     return EXIT_OK
 
@@ -241,8 +243,8 @@ def build_parser() -> _Parser:
                      description="Exact g-extra connectivity of path/cycle strong products")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, family_choices, need_g=False):
-        p.add_argument("--family", choices=family_choices)
+    def add_common(p, family_choices, need_g=False, need_family=False):
+        p.add_argument("--family", choices=family_choices, required=need_family)
         p.add_argument("--m", type=int, default=0)
         p.add_argument("--n", type=int, default=0)
         if need_g:
@@ -267,17 +269,17 @@ def build_parser() -> _Parser:
     add_common(p, FAMILIES, need_g=True)
     p.add_argument("--file")
     p.add_argument("--solver", choices=("fragment", "subset"), default="fragment")
-    p.add_argument("--budget", type=int, default=10 ** 8)
+    p.add_argument("--budget", type=int, default=SUBSET_BUDGET)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("formula", help="closed-form kappa_g")
-    add_common(p, FAMILIES, need_g=True)
+    add_common(p, FAMILIES, need_g=True, need_family=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_formula)
 
     p = sub.add_parser("witness", help="construct an explicit optimal-size cut")
-    add_common(p, FAMILIES, need_g=True)
+    add_common(p, FAMILIES, need_g=True, need_family=True)
     p.add_argument("--which", choices=WITNESS_KINDS, required=True)
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p.set_defaults(func=cmd_witness)

@@ -26,13 +26,14 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .graph import (Graph, adjacency_masks, components, is_complete, is_connected,
                     mask_components, mask_to_tuple, min_degree)
 from .products import ProductGraph
 
 INFINITY = math.inf
+SUBSET_BUDGET = 10 ** 8  # default subset checks of the brute-force scans
 
 
 class InconclusiveError(Exception):
@@ -107,39 +108,53 @@ def _validate_solver_input(graph: Graph, extra: int) -> None:
         raise ValueError("graph must be connected")
 
 
-def _subset_cuts(graph: Graph, extra: int, k: int) -> Iterator[tuple[bool, tuple[int, ...]]]:
-    """Yield ``(is_cut, combo)`` for every k-subset of the vertices, in
-    lexicographic order; ``is_cut`` says whether it is a g-extra cut."""
-    masks = adjacency_masks(graph)
-    full = (1 << graph.n) - 1
-    for combo in combinations(range(graph.n), k):
-        cut = 0
-        for v in combo:
-            cut |= 1 << v
-        comps = mask_components(masks, full & ~cut)
-        yield len(comps) >= 2 and all(size > extra for _, size in comps), combo
+def _subset_scan(graph: Graph, extra: int, budget: int, first_only: bool,
+                 known_value: int | None = None) -> tuple[list[tuple[int, ...]], int]:
+    """The g-extra cuts of the first cardinality that has one, scanned from 1
+    upward (or only ``known_value``) in lexicographic order, and the subsets
+    checked.
 
-
-def kappa_extra_subset(graph: Graph, extra: int, budget: int = 10 ** 8) -> ExtraConnResult:
-    """Exact kappa_g by subset enumeration in increasing cardinality.
-
-    Raises InconclusiveError once ``budget`` validity checks are spent; a
-    returned value is always exact.
+    ``first_only`` stops at the first cut.  Raises InconclusiveError, with
+    the checks made, before starting a cardinality whose C(n, k) subsets
+    would take the total past ``budget``.
     """
     _validate_solver_input(graph, extra)
     if budget < 0:
         raise ValueError(f"subset budget {budget} is negative")
+    masks = adjacency_masks(graph)
+    full = (1 << graph.n) - 1
     checks = 0
     # a cut must leave two components of size >= extra+1
-    for k in range(1, graph.n - 2 * (extra + 1) + 1):
-        for is_cut, combo in _subset_cuts(graph, extra, k):
+    for k in range(1, graph.n - 2 * (extra + 1) + 1) if known_value is None else [known_value]:
+        if checks + math.comb(graph.n, k) > budget:
+            raise InconclusiveError(f"C({graph.n}, {k}) subsets after {checks} checks "
+                                    f"exceed subset budget {budget}", checks)
+        cuts = []
+        for combo in combinations(range(graph.n), k):
             checks += 1
-            if checks > budget:
-                raise InconclusiveError(
-                    f"subset budget {budget} exhausted at cardinality {k}", checks)
-            if is_cut:
-                return ExtraConnResult(extra, k, combo, "subset", SolverStats(checks))
-    return ExtraConnResult(extra, INFINITY, None, "subset", SolverStats(checks))
+            cut = 0
+            for v in combo:
+                cut |= 1 << v
+            comps = mask_components(masks, full & ~cut)
+            if len(comps) >= 2 and all(size > extra for _, size in comps):
+                cuts.append(combo)
+                if first_only:
+                    break
+        if cuts:
+            return cuts, checks
+    return [], checks
+
+
+def kappa_extra_subset(graph: Graph, extra: int, budget: int = SUBSET_BUDGET) -> ExtraConnResult:
+    """Exact kappa_g by subset enumeration in increasing cardinality.
+
+    Raises InconclusiveError rather than exceed ``budget`` checks; a
+    returned value is always exact.
+    """
+    cuts, checks = _subset_scan(graph, extra, budget, first_only=True)
+    witness = cuts[0] if cuts else None
+    value = len(witness) if cuts else INFINITY
+    return ExtraConnResult(extra, value, witness, "subset", SolverStats(checks))
 
 
 def _close_under(cuts: set[int], automorphisms: Sequence[Sequence[int]]) -> set[int]:
@@ -377,27 +392,18 @@ def kappa_extra_fragment(graph: Graph, extra: int) -> ExtraConnResult:
 
 
 def enumerate_min_cuts(graph: Graph, extra: int, known_value: int | None = None,
-                       max_checks: int = 50_000_000) -> list[tuple[int, ...]]:
-    """All minimum-cardinality g-extra cuts, in lexicographic order.
+                       max_checks: int = SUBSET_BUDGET) -> list[tuple[int, ...]]:
+    """All minimum-cardinality g-extra cuts, in lexicographic order, by the
+    subset scan of ``kappa_extra_subset`` with budget ``max_checks``.
 
-    ``known_value`` (e.g. from a solver) restricts the scan to that
-    cardinality; without it, cardinalities are scanned from 1 upward.
-    Returns [] when no g-extra cut exists.  Raises InconclusiveError before
-    starting a cardinality whose C(n, k) subsets would take the total past
-    ``max_checks``, so every cardinality it starts is scanned to the end.
+    Returns [] when no g-extra cut exists.  ``known_value`` (e.g. from a
+    solver) restricts the scan to that cardinality, and raises ValueError
+    when it holds no g-extra cut.
     """
-    _validate_solver_input(graph, extra)
-    ks = [known_value] if known_value is not None else range(1, graph.n - 2 * (extra + 1) + 1)
-    done = 0
-    for k in ks:
-        if done + math.comb(graph.n, k) > max_checks:
-            raise InconclusiveError(f"C({graph.n}, {k}) subsets after {done} exceed "
-                                    f"max_checks {max_checks}", done)
-        done += math.comb(graph.n, k)
-        found = [c for is_cut, c in _subset_cuts(graph, extra, k) if is_cut]
-        if found:
-            return found
-    return []
+    cuts, _ = _subset_scan(graph, extra, max_checks, first_only=False, known_value=known_value)
+    if not cuts and known_value is not None:
+        raise ValueError(f"{known_value} is not kappa_{extra} of the graph: no cut has that size")
+    return cuts
 
 
 def min_cuts_grouped(graph: Graph, value_by_extra: dict[int, int],

@@ -133,13 +133,17 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
 def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> SweepReport:
     """Evaluate the whole grid; cells are independent and may run in parallel.
 
-    Each named family runs once, in ``FAMILIES`` order.  An unknown family or
-    a grid with no cell (a reversed range selects none) raises ValueError.
+    Each named family runs once, in ``FAMILIES`` order.  An unknown family,
+    a grid with no cell (a reversed range selects none) or an empty
+    ``explicit_g`` raises ValueError.
     Cells are built in report order (family, m, n, g sorted within a cell)
     and ``pool.map`` keeps it, so the thread count never changes the report."""
     for family in config.families:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
+    if config.explicit_g is not None and not config.explicit_g:
+        raise ValueError(f"explicit_g {config.explicit_g!r} selects no g; "
+                         "None selects every in-guard g")
     cells = [(family, m, n, config)
              for family in FAMILIES if family in config.families
              for m, n in _cell_grid(config, family)]

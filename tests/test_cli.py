@@ -106,6 +106,23 @@ def test_product_from_one_file_names_the_missing_flag(tmp_path, capsys, given, m
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["formula", "--m", "5", "--n", "5", "--g", "0"],
+    ["witness", "--m", "5", "--n", "5", "--g", "0", "--which", "block"],
+])
+def test_formula_and_witness_require_family(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.endswith("error: the following arguments are required: --family\n")
+
+
+def test_product_without_family_or_files_reports_error(capsys):
+    assert run(["product", "--m", "3", "--n", "3"]) == 1
+    assert capsys.readouterr().err == "error: a product needs --family or --file1 and --file2\n"
+
+
 def test_witness_command(capsys):
     assert run(["witness", "--family", "pxp", "--m", "6", "--n", "6", "--g", "2",
                 "--which", "block", "--format", "json"]) == 0

@@ -70,8 +70,10 @@ def test_solvers_reject_bad_input():
 
 
 def test_subset_budget_is_honest():
-    with pytest.raises(InconclusiveError):
+    # C(9, 1) = 9 subsets exceed the budget, so no scan starts
+    with pytest.raises(InconclusiveError) as exc:
         kappa_extra_subset(family_product("pxp", 3, 3).graph, 0, budget=3)
+    assert exc.value.checks_done == 0
 
 
 def test_fragment_absorbs_stranded_cut_vertices():
@@ -150,6 +152,11 @@ def test_enumerate_min_cuts_known_value_and_budget():
     assert all(len(c) == 3 for c in full)
     with pytest.raises(InconclusiveError):
         enumerate_min_cuts(g, 0, max_checks=10)
+    with pytest.raises(ValueError, match="subset budget -1 is negative"):
+        enumerate_min_cuts(g, 0, max_checks=-1)
+    # kappa_0(C6) = 2, so no cut has one vertex
+    with pytest.raises(ValueError, match="1 is not kappa_0 of the graph"):
+        enumerate_min_cuts(make_cycle(6), 0, known_value=1)
 
 
 def test_enumerate_min_cuts_refuses_before_scanning():

@@ -82,6 +82,12 @@ def test_sweep_rejects_a_grid_without_cells(config, message):
     assert str(info.value) == f"the sweep grid selects no cell: {message}"
 
 
+def test_sweep_rejects_an_empty_explicit_g():
+    config = SweepConfig(families=("pxp",), m_range=(3, 3), n_range=(3, 3), explicit_g=())
+    with pytest.raises(ValueError, match=r"explicit_g \(\) selects no g"):
+        sweep(config)
+
+
 def test_sweep_explicit_g_records_out_of_guard_observationally():
     config = SweepConfig(families=("pxp",), m_range=(3, 3), n_range=(3, 3),
                          explicit_g=(0, 5))
