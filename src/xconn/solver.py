@@ -108,24 +108,22 @@ def _validate_solver_input(graph: Graph, extra: int) -> None:
         raise ValueError("graph must be connected")
 
 
-def _subset_scan(graph: Graph, extra: int, budget: int, first_only: bool,
-                 known_value: int | None = None) -> tuple[list[tuple[int, ...]], int]:
+def _subset_scan(graph: Graph, extra: int, budget: int,
+                 first_only: bool) -> tuple[list[tuple[int, ...]], int]:
     """The g-extra cuts of the first cardinality that has one, scanned from 1
-    upward (or only ``known_value``) in lexicographic order, and the subsets
-    checked.
+    upward in lexicographic order, and the subsets checked.
 
     ``first_only`` stops at the first cut.  Raises InconclusiveError, with
     the checks made, before starting a cardinality whose C(n, k) subsets
-    would take the total past ``budget``.
+    would take the total past ``budget``.  The caller validates the input.
     """
-    _validate_solver_input(graph, extra)
     if budget < 0:
         raise ValueError(f"subset budget {budget} is negative")
     masks = adjacency_masks(graph)
     full = (1 << graph.n) - 1
     checks = 0
     # a cut must leave two components of size >= extra+1
-    for k in range(1, graph.n - 2 * (extra + 1) + 1) if known_value is None else [known_value]:
+    for k in range(1, graph.n - 2 * (extra + 1) + 1):
         if checks + math.comb(graph.n, k) > budget:
             raise InconclusiveError(f"C({graph.n}, {k}) subsets after {checks} checks "
                                     f"exceed subset budget {budget}", checks)
@@ -151,6 +149,7 @@ def kappa_extra_subset(graph: Graph, extra: int, budget: int = SUBSET_BUDGET) ->
     Raises InconclusiveError rather than exceed ``budget`` checks; a
     returned value is always exact.
     """
+    _validate_solver_input(graph, extra)
     cuts, checks = _subset_scan(graph, extra, budget, first_only=True)
     witness = cuts[0] if cuts else None
     value = len(witness) if cuts else INFINITY
@@ -343,8 +342,8 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
     ``upper_bounds`` seeds pruning with certified cut sizes (e.g. validated
     witness constructions); if a seed turns out too small the affected values
     are recomputed unseeded, so results never depend on seed correctness.
-    Each result carries every minimum cut of its g, so ``min_cuts_grouped``
-    can read them without a second search.
+    Each result carries every minimum cut of its g, which is all
+    ``min_cuts_grouped`` reads.
 
     The search, and any retry, runs on an isomorphic copy whose vertices
     are sorted by ascending degree (a stable sort, so a regular graph keeps
@@ -391,41 +390,43 @@ def kappa_extra_fragment(graph: Graph, extra: int) -> ExtraConnResult:
     return fragment_solve_many(graph, [extra])[extra]
 
 
-def enumerate_min_cuts(graph: Graph, extra: int, known_value: int | None = None,
+def enumerate_min_cuts(graph: Graph, extra: int, known_value: int | float | None = None,
                        max_checks: int = SUBSET_BUDGET) -> list[tuple[int, ...]]:
     """All minimum-cardinality g-extra cuts, in lexicographic order, by the
     subset scan of ``kappa_extra_subset`` with budget ``max_checks``.
 
     Returns [] when no g-extra cut exists.  ``known_value`` (e.g. from a
-    solver) restricts the scan to that cardinality, and raises ValueError
-    when it holds no g-extra cut.
+    solver) is checked, not trusted: the scan refuses up front, with no
+    check made, when the cardinalities up to it would take more than
+    ``max_checks`` subsets, and raises ValueError when the first
+    cardinality holding a cut is not ``known_value``.
     """
-    cuts, _ = _subset_scan(graph, extra, max_checks, first_only=False, known_value=known_value)
-    if not cuts and known_value is not None:
-        raise ValueError(f"{known_value} is not kappa_{extra} of the graph: no cut has that size")
+    _validate_solver_input(graph, extra)
+    if known_value is not None:
+        # every cardinality up to known_value; a negative budget is the scan's ValueError
+        last = min(known_value, graph.n - 2 * (extra + 1))
+        need = sum(math.comb(graph.n, k) for k in range(1, last + 1))
+        if 0 <= max_checks < need:
+            raise InconclusiveError(f"{need} subsets of up to {last} vertices exceed "
+                                    f"subset budget {max_checks}", 0)
+    cuts, _ = _subset_scan(graph, extra, max_checks, first_only=False)
+    if known_value is not None and (len(cuts[0]) if cuts else INFINITY) != known_value:
+        raise ValueError(f"{known_value} is not kappa_{extra} of the graph")
     return cuts
 
 
 def min_cuts_grouped(graph: Graph, value_by_extra: dict[int, int],
-                     solved: dict[int, ExtraConnResult] | None = None
-                     ) -> dict[int, list[tuple[int, ...]]]:
+                     solved: dict[int, ExtraConnResult]) -> dict[int, list[tuple[int, ...]]]:
     """Minimum g-extra cuts for several extras at once, in lexicographic order.
 
-    ``value_by_extra[g]`` must be the known kappa_g (from a solver).  When
-    ``solved`` (``fragment_solve_many`` results for ``graph``) covers every
-    requested g, its cuts are the answer and no search runs.  Otherwise one
-    fragment pass seeded with these values collects every cut of that size,
-    because each minimum cut is reconstructed from its smallest component.
-    Output matches ``enumerate_min_cuts(graph, g, known_value=...)`` per g.
-    Raises ValueError when a value is not kappa_g.
+    ``value_by_extra[g]`` is the claimed kappa_g and ``solved`` holds the
+    ``fragment_solve_many`` results for ``graph``, whose cuts are the answer;
+    no search runs.  Raises ValueError when a value is not ``solved[g]``'s.
     """
-    extras = sorted(value_by_extra)
-    if solved is None or not all(g in solved and solved[g].cuts is not None for g in extras):
-        solved = fragment_solve_many(graph, extras, value_by_extra)
-    for g in extras:
-        if not solved[g].cuts or solved[g].value != value_by_extra[g]:
-            raise ValueError(f"{value_by_extra[g]} is not kappa_{g} of the graph")
-    return {g: list(solved[g].cuts) for g in extras}
+    for g, value in value_by_extra.items():
+        if g not in solved or not solved[g].cuts or solved[g].value != value:
+            raise ValueError(f"{value} is not kappa_{g} of the graph")
+    return {g: list(solved[g].cuts) for g in sorted(value_by_extra)}
 
 
 def classical_connectivity(graph: Graph) -> int:

@@ -28,7 +28,6 @@ DEFAULT_GRIDS: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
 }
 
 MAX_VERTICES = 36       # cells above this are inconclusive
-ENUMERATE_LIMIT = 25    # min-cut enumeration vertex cap
 CLASSIFY_LIMIT = 16     # I/L classification vertex cap
 
 
@@ -98,35 +97,29 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
                 ok = False
         valid[g] = ok if built else None
 
-    oracle: dict[int, int | float | None]
+    oracle: dict[int, int | float | None] = {g: None for g in gs}
+    min_cuts: dict[int, list[tuple[int, ...]]] = {}
+    layer_pass: dict[int, bool] = {}
     if pg.graph.n <= MAX_VERTICES:
         results = fragment_solve_many(pg.graph, gs, seeds)
         oracle = {g: results[g].value for g in gs}
-    else:
-        oracle = {g: None for g in gs}
-
-    min_cuts: dict[int, list[tuple[int, ...]]] = {}
-    if pg.graph.n <= ENUMERATE_LIMIT:
-        finite = {g: int(v) for g, v in oracle.items()
-                  if v is not None and v is not INFINITY}
+        finite = {g: int(v) for g, v in oracle.items() if v is not INFINITY}
         min_cuts = min_cuts_grouped(pg.graph, finite, results)
+        layer_pass = {g: check_layer_bounds(pg, cuts, g) for g, cuts in min_cuts.items()}
 
     rows: list[SweepRow] = []
     for g in gs:
         ov = oracle[g]
         fv = formula[g]
         agree = None if fv is None or ov is None else ov == fv
-        layer_pass: bool | None = None
         classes: str | None = None
-        if g in min_cuts:
-            layer_pass = check_layer_bounds(pg, min_cuts[g], g)
-            if g == 0 and pg.graph.n <= CLASSIFY_LIMIT:
-                classes = "pass" if _all_i_or_l_sets(pg, min_cuts[g]) else "fail"
+        if g == 0 and g in min_cuts and pg.graph.n <= CLASSIFY_LIMIT:
+            classes = "pass" if _all_i_or_l_sets(pg, min_cuts[g]) else "fail"
         if classes is None and g == 0:
             classes = "skip"
         rows.append(SweepRow(
             family, m, n, g, g <= limit, fv, ov, agree,
-            sizes[g], valid[g], layer_pass, classes))
+            sizes[g], valid[g], layer_pass.get(g), classes))
     return rows
 
 

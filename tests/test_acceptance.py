@@ -252,8 +252,6 @@ def test_criterion_09_layer_bounds():
     cuts_checked = 0
     for family, cells in GRIDS.items():
         for m, n in cells:
-            if m * n > 25:
-                continue
             data = cell_data(family, m, n)
             pg = data["pg"]
             finite = {g: int(data["oracle"][g].value) for g in data["gs"]

@@ -157,6 +157,21 @@ def test_enumerate_min_cuts_known_value_and_budget():
     # kappa_0(C6) = 2, so no cut has one vertex
     with pytest.raises(ValueError, match="1 is not kappa_0 of the graph"):
         enumerate_min_cuts(make_cycle(6), 0, known_value=1)
+    # an infinite value, as a solver reports for a graph with no cut, is checked too
+    assert enumerate_min_cuts(make_cycle(5), 1, known_value=INFINITY) == []
+    with pytest.raises(ValueError, match="inf is not kappa_0 of the graph"):
+        enumerate_min_cuts(make_cycle(6), 0, known_value=INFINITY)
+
+
+@pytest.mark.parametrize("graph, extra, value", [
+    (make_cycle(6), 0, 2),
+    # kappa_1 = 1 (the hub), no 1-extra cut has 2 vertices, and 3 have 3
+    (from_edges(7, [(0, v) for v in range(1, 7)] + [(1, 2), (3, 4), (5, 6)]), 1, 1),
+])
+def test_enumerate_min_cuts_rejects_a_too_large_known_value(graph, extra, value):
+    assert len(enumerate_min_cuts(graph, extra, known_value=value)[0]) == value
+    with pytest.raises(ValueError, match=f"3 is not kappa_{extra} of the graph"):
+        enumerate_min_cuts(graph, extra, known_value=3)
 
 
 def test_enumerate_min_cuts_refuses_before_scanning():
@@ -171,17 +186,18 @@ def test_enumerate_min_cuts_refuses_before_scanning():
 
 def test_min_cuts_grouped_matches_per_extra_enumeration():
     g = family_product("cxp", 4, 3).graph
-    values = {extra: int(kappa_extra_fragment(g, extra).value) for extra in (0, 1, 2)}
-    grouped = min_cuts_grouped(g, values)
+    solved = fragment_solve_many(g, [0, 1, 2])
+    values = {extra: int(solved[extra].value) for extra in (0, 1, 2)}
+    grouped = min_cuts_grouped(g, values, solved)
     for extra in (0, 1, 2):
         assert grouped[extra] == enumerate_min_cuts(g, extra, known_value=values[extra])
 
 
 def test_min_cuts_grouped_absorbs_stranded_cut_vertices():
     t = from_edges(6, [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5)])
-    cuts = min_cuts_grouped(t, {1: 2})
+    cuts = min_cuts_grouped(t, {1: 2}, fragment_solve_many(t, [1]))
     assert cuts == {1: enumerate_min_cuts(t, 1, known_value=2)} == {1: [(2, 3)]}
-    assert min_cuts_grouped(t, {}) == {}
+    assert min_cuts_grouped(t, {}, {}) == {}
 
 
 @given(connected_graphs(min_n=2, max_n=10))
@@ -192,7 +208,7 @@ def test_min_cuts_grouped_matches_subset_scan(g):
         value = kappa_extra_subset(g, extra).value
         if value is not INFINITY:
             values[extra] = value
-    grouped = min_cuts_grouped(g, values)
+    grouped = min_cuts_grouped(g, values, fragment_solve_many(g, [0, 1, 2]))
     assert set(grouped) == set(values)
     for extra, value in values.items():
         assert grouped[extra] == enumerate_min_cuts(g, extra, known_value=value)
@@ -205,7 +221,7 @@ def test_min_cuts_grouped_rejects_a_wrong_value(g, extra, offset):
     if value is INFINITY:
         value = g.n  # no cut of any size exists
     with pytest.raises(ValueError):
-        min_cuts_grouped(g, {extra: value + offset})
+        min_cuts_grouped(g, {extra: value + offset}, fragment_solve_many(g, [extra]))
 
 
 def subset_values(g):
@@ -227,7 +243,7 @@ def test_min_cuts_grouped_after_a_solve(a, b, solved, b_equals_a):
     fragment_solve_many(a, sorted(solved))
     for graph in (b, a):
         values = subset_values(graph)
-        grouped = min_cuts_grouped(graph, values)
+        grouped = min_cuts_grouped(graph, values, fragment_solve_many(graph, [0, 1, 2]))
         assert grouped == {extra: enumerate_min_cuts(graph, extra, known_value=value)
                            for extra, value in values.items()}
 
@@ -239,8 +255,10 @@ def test_min_cuts_grouped_with_and_without_solved_results(g):
     values = {extra: r.value for extra, r in solved.items() if r.value is not INFINITY}
     expected = {extra: enumerate_min_cuts(g, extra, known_value=value)
                 for extra, value in values.items()}
-    assert min_cuts_grouped(g, values, solved) == min_cuts_grouped(g, values) == expected
+    assert min_cuts_grouped(g, values, solved) == expected
     assert all(list(solved[extra].cuts) == cuts for extra, cuts in expected.items())
+    with pytest.raises(TypeError):  # the cuts come only from a solve
+        min_cuts_grouped(g, values)
 
 
 def test_factor_solves_leave_the_product_cuts_alone(monkeypatch):
@@ -265,7 +283,7 @@ def test_factor_solves_leave_the_product_cuts_alone(monkeypatch):
 
 def test_fragment_solve_many_on_no_extras_is_empty():
     assert fragment_solve_many(make_path(4), []) == {}
-    assert min_cuts_grouped(make_path(4), {}) == {}
+    assert min_cuts_grouped(make_path(4), {}, {}) == {}
 
 
 def test_fragment_solve_many_checks_the_graph_once(monkeypatch):
@@ -288,11 +306,14 @@ def test_fragment_solve_many_checks_the_graph_once(monkeypatch):
 @given(connected_graphs(min_n=2, max_n=10), st.integers(0, 2), st.sampled_from((-1, 1)))
 @settings(max_examples=60, deadline=None)
 def test_min_cuts_grouped_after_a_solve_rejects_a_wrong_value(g, extra, offset):
-    value = fragment_solve_many(g, [extra])[extra].value
+    solved = fragment_solve_many(g, [extra])
+    value = solved[extra].value
     if value is INFINITY:
         value = g.n  # no cut of any size exists
     with pytest.raises(ValueError):
-        min_cuts_grouped(g, {extra: value + offset})
+        min_cuts_grouped(g, {extra: value + offset}, solved)
+    with pytest.raises(ValueError):  # a g the solve did not cover
+        min_cuts_grouped(g, {extra + 1: value}, solved)
 
 
 def test_classical_connectivity_known_values():
@@ -467,7 +488,7 @@ def test_orbit_rooting_keeps_every_answer_on_default_cells(family, m, n):
 def test_min_cuts_grouped_search_on_a_symmetric_graph(family, m, n, extras):
     pg = family_product(family, m, n)
     values = {g: int(kappa_extra_fragment(bare_copy(pg.graph), g).value) for g in extras}
-    grouped = min_cuts_grouped(pg.graph, values)  # no solved results: searches
+    grouped = min_cuts_grouped(pg.graph, values, fragment_solve_many(pg.graph, extras))
     assert grouped == {g: enumerate_min_cuts(pg.graph, g, known_value=values[g])
                        for g in extras}
 

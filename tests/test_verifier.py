@@ -15,7 +15,8 @@ from xconn.verifier import (SweepConfig, SweepReport, _evaluate_cell,
 from xconn.witnesses import WITNESS_KINDS
 
 SMALL = SweepConfig(families=("pxp",), m_range=(3, 4), n_range=(3, 4))
-REFERENCE_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "sweep_default.csv"
+GOLDEN_CSV = Path(__file__).resolve().parent / "data" / "sweep_default.csv"
+BENCHMARK_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "sweep_default.csv"
 
 
 def test_small_sweep_all_agree():
@@ -142,12 +143,36 @@ def test_cartesian_connectivity_formula():
 
 def test_default_sweep_matches_reference_csv():
     # the committed output of `xconn sweep --threads 1 --format csv`
-    assert to_csv(sweep(SweepConfig(), threads=1)) == REFERENCE_CSV.read_text()
+    assert to_csv(sweep(SweepConfig(), threads=1)) == GOLDEN_CSV.read_text()
 
 
 def test_pooled_cli_sweep_matches_reference_csv(capsys):
     assert run(["sweep", "--threads", "2", "--format", "csv"]) == 0
-    assert capsys.readouterr().out == REFERENCE_CSV.read_text()
+    assert capsys.readouterr().out == GOLDEN_CSV.read_text()
+
+
+def csv_rows(path: Path) -> dict[tuple[str, ...], dict[str, str]]:
+    header, *lines = path.read_text().splitlines()
+    columns = header.split(",")
+    return {tuple(line.split(",")[:4]): dict(zip(columns, line.split(","))) for line in lines}
+
+
+def test_golden_csv_keeps_every_field_of_the_benchmark_reference():
+    # the benchmark's rule: a blank reference field may gain a value, and
+    # every other field must come out the same
+    golden = csv_rows(GOLDEN_CSV)
+    for key, row in csv_rows(BENCHMARK_CSV).items():
+        assert key in golden, key
+        changed = {col: (want, golden[key][col]) for col, want in row.items()
+                   if want and golden[key][col] != want}
+        assert not changed, (key, changed)
+
+
+def test_every_solved_row_with_a_cut_checks_the_layer_bounds():
+    # the cell's one solve holds every minimum cut, so no solved row goes unchecked
+    for row in sweep(SweepConfig()).rows:
+        has_cut = row.m * row.n <= verifier.MAX_VERTICES and row.oracle_value is not INFINITY
+        assert (row.layer_bounds_pass is not None) is has_cut, row
 
 
 def count_fragment_searches(monkeypatch) -> list[int]:
