@@ -1,13 +1,15 @@
 """Undirected simple graphs over integer vertex ids 0..n-1.
 
 Graphs are immutable after construction and every operation here is a pure
-function, so values can be shared freely across parallel sweeps.
+function, so values can be shared freely across parallel sweeps.  The only
+cache is ``Graph.masks``, built from the immutable adjacency on first use.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -21,7 +23,8 @@ class Graph:
     ``automorphisms`` optionally declares generators of a symmetry group:
     each is a permutation ``p`` of the vertices mapping every edge u-v to
     the edge p[u]-p[v].  They are checked here, so solvers may trust them;
-    they take no part in equality, hashing or serialization.
+    they take no part in equality, hashing or serialization, and neither
+    does the cached ``masks``.
     """
 
     n: int
@@ -66,6 +69,12 @@ class Graph:
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Per-vertex neighbour bitmasks (bit u set in masks[v] iff u ~ v),
+        built on first use and kept with the graph."""
+        return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]],
@@ -129,16 +138,23 @@ def neighborhood(g: Graph, vs: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(out - s))
 
 
-def components(g: Graph, removed: Iterable[int] = ()) -> list[tuple[int, ...]]:
-    """Connected components of g minus ``removed``, ordered by smallest member."""
+def remaining_mask(g: Graph, removed: Iterable[int]) -> int:
+    """The bitmask of the vertices not in ``removed``; a removed vertex
+    outside range(g.n) raises ValueError."""
     rest = (1 << g.n) - 1
     for v in _check_vertex_set(g, removed):
         rest ^= 1 << v
-    return [mask_to_tuple(comp) for comp, _ in mask_components(adjacency_masks(g), rest)]
+    return rest
+
+
+def components(g: Graph, removed: Iterable[int] = ()) -> list[tuple[int, ...]]:
+    """Connected components of g minus ``removed``, ordered by smallest member."""
+    return [mask_to_tuple(comp)
+            for comp, _ in mask_components(g.masks, remaining_mask(g, removed))]
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n > 0 and len(components(g)) == 1
+    return g.n > 0 and len(mask_components(g.masks, (1 << g.n) - 1)) == 1
 
 
 def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -164,20 +180,9 @@ def is_complete(g: Graph) -> bool:
     return all(len(nbrs) == g.n - 1 for nbrs in g.adj)
 
 
-def adjacency_masks(g: Graph) -> list[int]:
-    """Per-vertex neighbour bitmasks (bit u set in masks[v] iff u ~ v)."""
-    masks = [0] * g.n
-    for v in range(g.n):
-        m = 0
-        for u in g.adj[v]:
-            m |= 1 << u
-        masks[v] = m
-    return masks
-
-
 def mask_components(masks: Sequence[int], sub: int) -> list[tuple[int, int]]:
     """Connected components of the vertices in bitmask ``sub``, as (mask, size)
-    pairs ordered by smallest member; ``masks`` as from ``adjacency_masks``."""
+    pairs ordered by smallest member; ``masks`` as ``Graph.masks``."""
     comps = []
     while sub:
         frontier = sub & -sub

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable
 
 from .formulas import FAMILIES, family_cycles  # FAMILIES is re-exported
@@ -26,7 +27,11 @@ from .graph import from_doc as graph_from_doc
 
 @dataclass(frozen=True)
 class ProductGraph:
-    """A product graph plus the factor metadata needed for layer queries."""
+    """A product graph plus the factor metadata needed for layer queries.
+
+    Each factor is recovered from its layer on first use and kept with the
+    product; the cache takes no part in equality or hashing.
+    """
 
     graph: Graph
     m: int
@@ -51,12 +56,19 @@ class ProductGraph:
 
     def factor1(self) -> Graph:
         """Factor 1 recovered from the layer at j=0 (isomorphic by construction)."""
-        sub, _ = induced_subgraph(self.graph, [self.id(i, 0) for i in range(self.m)])
-        return sub
+        return self._factor1
 
     def factor2(self) -> Graph:
-        sub, _ = induced_subgraph(self.graph, [self.id(0, j) for j in range(self.n)])
-        return sub
+        """Factor 2 recovered from the layer at i=0."""
+        return self._factor2
+
+    @cached_property
+    def _factor1(self) -> Graph:
+        return induced_subgraph(self.graph, [self.id(i, 0) for i in range(self.m)])[0]
+
+    @cached_property
+    def _factor2(self) -> Graph:
+        return induced_subgraph(self.graph, [self.id(0, j) for j in range(self.n)])[0]
 
 
 def _product(g1: Graph, g2: Graph, kind: str) -> ProductGraph:

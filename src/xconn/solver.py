@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .graph import (Graph, adjacency_masks, components, is_complete, is_connected,
-                    mask_components, mask_to_tuple, min_degree)
+from .graph import (Graph, is_complete, is_connected, mask_components, mask_to_tuple,
+                    min_degree, remaining_mask)
 from .products import ProductGraph
 
 INFINITY = math.inf
@@ -86,15 +85,15 @@ def result_to_json_dict(res: ExtraConnResult) -> dict:
 
 def check_g_extra_cut(graph: Graph, cut: Iterable[int], extra: int) -> CutVerdict:
     """Judge whether ``cut`` is a g-extra cut: removal disconnects the graph
-    and every remaining component keeps at least extra+1 vertices."""
+    and every remaining component keeps at least extra+1 vertices.  A cut
+    vertex outside range(graph.n) raises ValueError."""
     if extra < 0:
         raise ValueError("extra must be non-negative")
     s = frozenset(cut)
     if len(s) >= graph.n:
         raise ValueError("cut must leave at least one vertex")
-    comps = components(graph, s)
-    sizes = tuple(len(c) for c in comps)
-    is_cut = len(comps) >= 2
+    sizes = tuple(size for _, size in mask_components(graph.masks, remaining_mask(graph, s)))
+    is_cut = len(sizes) >= 2
     mn = min(sizes)
     return CutVerdict(is_cut, mn, is_cut and mn >= extra + 1, sizes)
 
@@ -119,7 +118,7 @@ def _subset_scan(graph: Graph, extra: int, budget: int,
     """
     if budget < 0:
         raise ValueError(f"subset budget {budget} is negative")
-    masks = adjacency_masks(graph)
+    masks = graph.masks
     full = (1 << graph.n) - 1
     checks = 0
     # a cut must leave two components of size >= extra+1
@@ -449,9 +448,9 @@ def check_layer_bounds(pg: ProductGraph, cuts: Iterable[Iterable[int]], extra: i
     every nonempty slice of a cut in a factor-2 layer has at least
     kappa(factor 2) vertices, and symmetrically for factor-1 layers.
 
-    True when every cut in ``cuts`` passes (so True for none); the factor
-    connectivities are computed once per call.  Minimality is the caller's
-    responsibility; a cut that is not a g-extra cut raises ValueError.
+    True when every cut in ``cuts`` passes (so True for none).  The factors
+    are the product's own, recovered once per product.  Minimality is the
+    caller's responsibility; a cut that is not a g-extra cut raises ValueError.
     """
     cuts = [frozenset(cut) for cut in cuts]
     if not all(check_g_extra_cut(pg.graph, cut, extra).is_g_extra for cut in cuts):
@@ -459,10 +458,13 @@ def check_layer_bounds(pg: ProductGraph, cuts: Iterable[Iterable[int]], extra: i
     k1 = classical_connectivity(pg.factor1())
     k2 = classical_connectivity(pg.factor2())
     for cut in cuts:
-        coords = [pg.coords(v) for v in cut]
         # a row i is the slice inside the factor-2 layer at x_i: bound kappa(G2);
         # a column j is the slice inside the factor-1 layer at y_j: bound kappa(G1)
-        if (any(c < k2 for c in Counter(i for i, _ in coords).values())
-                or any(c < k1 for c in Counter(j for _, j in coords).values())):
+        rows, cols = [0] * pg.m, [0] * pg.n
+        for v in cut:  # in range: checked above
+            i, j = divmod(v, pg.n)
+            rows[i] += 1
+            cols[j] += 1
+        if any(0 < c < k2 for c in rows) or any(0 < c < k1 for c in cols):
             return False
     return True

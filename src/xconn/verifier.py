@@ -126,11 +126,13 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
 def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> SweepReport:
     """Evaluate the whole grid; cells are independent and may run in parallel.
 
-    Each named family runs once, in ``FAMILIES`` order.  An unknown family,
-    a grid with no cell (a reversed range selects none) or an empty
-    ``explicit_g`` raises ValueError.
+    Each named family runs once, in ``FAMILIES`` order.  A thread count
+    below 1, an unknown family, a grid with no cell (a reversed range
+    selects none) or an empty ``explicit_g`` raises ValueError.
     Cells are built in report order (family, m, n, g sorted within a cell)
     and ``pool.map`` keeps it, so the thread count never changes the report."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     for family in config.families:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")

@@ -274,6 +274,15 @@ def test_sweep_reversed_range_reports_error(capsys, flag):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_sweep_thread_count_below_one_reports_error(capsys, threads):
+    assert run(["sweep", "--families", "pxp", "--m-range", "3:3", "--n-range", "3:3",
+                "--threads", threads]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: threads must be at least 1, got {threads}\n"
+    assert captured.out == ""
+
+
 def test_sweep_grid_without_cells_reports_error(capsys):
     assert run(["sweep", "--families", "pxp", "--m-range", "1:2", "--threads", "1"]) == 1
     captured = capsys.readouterr()

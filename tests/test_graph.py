@@ -1,3 +1,5 @@
+import dataclasses
+
 import networkx as nx
 import pytest
 from hypothesis import given
@@ -132,6 +134,29 @@ def test_declared_generators_take_no_part_in_equality_or_json():
     back = from_json(to_json(g))
     assert back == g and back.automorphisms == ()
     assert induced_subgraph(g, range(4))[0].automorphisms == ()
+
+
+def test_cached_masks_take_no_part_in_equality_hash_json_or_replace():
+    g = make_cycle(5)
+    bare = Graph(g.n, g.adj, g.labels)
+    before = (hash(g), to_json(g))
+    assert "masks" not in vars(g)
+    masks = g.masks
+    assert vars(g)["masks"] is masks and g.masks is masks  # built once, then kept
+    assert g == bare and "masks" not in vars(bare)
+    assert (hash(g), to_json(g)) == before == (hash(bare), to_json(bare))
+    relabelled = dataclasses.replace(g, labels=None)
+    assert "masks" not in vars(relabelled) and relabelled.masks == masks
+    assert dataclasses.replace(g) == g
+    assert "masks" not in repr(g)
+
+
+@given(connected_graphs())
+def test_masks_hold_exactly_the_neighbours(g):
+    assert len(g.masks) == g.n
+    for v in range(g.n):
+        assert tuple(u for u in range(g.n) if g.masks[v] >> u & 1) == g.adj[v]
+        assert g.masks[v] >> g.n == 0
 
 
 def test_dot_contains_labels_and_highlight():

@@ -13,6 +13,7 @@ returns would depend on the calls made before it.
 
 import builtins
 import dis
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -26,7 +27,8 @@ MODULES = [importlib.import_module(f"xconn.{info.name}")
 
 def own_functions(module: types.ModuleType):
     """Functions and methods whose code lives in the module's own file,
-    including those behind decorator wrappers that set ``__wrapped__``."""
+    including those behind decorator wrappers that set ``__wrapped__`` and
+    the bodies of ``functools.cached_property`` attributes."""
     pending = list(vars(module).values())
     seen = set()
     while pending:
@@ -38,6 +40,8 @@ def own_functions(module: types.ModuleType):
             pending.append(obj.__wrapped__)
         if isinstance(obj, (staticmethod, classmethod)):
             pending.append(obj.__func__)
+        elif isinstance(obj, functools.cached_property):
+            pending.append(obj.func)
         elif isinstance(obj, property):
             pending.extend(f for f in (obj.fget, obj.fset, obj.fdel) if f is not None)
         elif inspect.isclass(obj) and obj.__module__ == module.__name__:
@@ -105,3 +109,23 @@ def test_decorated_functions_are_checked():
     exec(compile(source, module.__file__, "exec"), vars(module))
     assert module.lookup.__wrapped__ in set(own_functions(module))
     assert undefined_globals(module) == ["cached_mod.lookup -> not_defined_anywhere"]
+
+
+def test_cached_property_bodies_are_checked():
+    # a throwaway module whose only code sits in cached_property bodies
+    module = types.ModuleType("lazy_mod")
+    module.__file__ = "<lazy_mod>"
+    source = ("import functools\n\n"
+              "_memo = None\n\n"
+              "class Lazy:\n"
+              "    @functools.cached_property\n"
+              "    def value(self):\n"
+              "        return not_defined_anywhere\n\n"
+              "    @functools.cached_property\n"
+              "    def leak(self):\n"
+              "        global _memo\n"
+              "        _memo = self\n")
+    exec(compile(source, module.__file__, "exec"), vars(module))
+    assert vars(module.Lazy)["value"].func in set(own_functions(module))
+    assert undefined_globals(module) == ["lazy_mod.Lazy.value -> not_defined_anywhere"]
+    assert stored_globals(module) == ["lazy_mod.Lazy.leak -> _memo"]

@@ -133,6 +133,18 @@ def test_factor_recovery():
     assert f2.adj == make_path(4).adj
 
 
+@pytest.mark.parametrize("family,m,n", [("pxp", 3, 5), ("cxp", 5, 4), ("cxc", 4, 6)])
+@pytest.mark.parametrize("kind", ["strong", "cartesian"])
+def test_cached_factors_are_the_layers(family, m, n, kind):
+    pg = family_product(family, m, n, kind)
+    f1, f2 = pg.factor1(), pg.factor2()
+    assert f1 == induced_subgraph(pg.graph, layer(pg, "factor1", 0))[0]
+    assert f2 == induced_subgraph(pg.graph, layer(pg, "factor2", 0))[0]
+    assert pg.factor1() is f1 and pg.factor2() is f2  # recovered once per product
+    fresh = family_product(family, m, n, kind)
+    assert pg == fresh and hash(pg) == hash(fresh) and to_json(pg) == to_json(fresh)
+
+
 def test_slice_of_set():
     pg = family_product("pxp", 3, 3)
     column = tuple(pg.id(1, j) for j in range(3))

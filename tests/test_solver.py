@@ -39,6 +39,13 @@ def test_check_g_extra_cut_rejects_whole_vertex_set():
         check_g_extra_cut(make_path(3), {0, 1, 2}, 0)
 
 
+@pytest.mark.parametrize("vertex", [-1, 5, 9])
+def test_check_g_extra_cut_rejects_out_of_range_vertices(vertex):
+    # the cut's mask would silently drop a vertex >= n; it must raise instead
+    with pytest.raises(ValueError, match=f"vertex {vertex} out of range"):
+        check_g_extra_cut(make_path(5), {2, vertex}, 0)
+
+
 def test_subset_solver_examples():
     k4 = family_product("pxp", 2, 2).graph
     assert kappa_extra_subset(k4, 0).value is INFINITY

@@ -89,6 +89,12 @@ def test_sweep_rejects_an_empty_explicit_g():
         sweep(config)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_sweep_rejects_a_thread_count_below_one(threads):
+    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        sweep(SMALL, threads=threads)
+
+
 def test_sweep_explicit_g_records_out_of_guard_observationally():
     config = SweepConfig(families=("pxp",), m_range=(3, 3), n_range=(3, 3),
                          explicit_g=(0, 5))
