@@ -228,11 +228,29 @@ def from_json(text: str) -> Graph:
 
 
 def from_doc(doc: object) -> Graph:
-    """Build a graph from an already parsed interchange document."""
+    """Build a graph from an already parsed interchange document.
+
+    The document must be an object whose ``n`` is a non-negative integer,
+    ``edges`` a list of integer pairs and ``labels``, when present, a list
+    of strings; JSON booleans and floats are not integers.  Anything else
+    raises ValueError naming the offending field."""
+    if type(doc) is not dict:
+        raise ValueError("malformed graph JSON (the document must be an object)")
     try:
-        return from_edges(doc["n"], [tuple(e) for e in doc["edges"]], doc.get("labels"))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed graph JSON ({type(exc).__name__}: {exc})") from None
+        n, edges, labels = doc["n"], doc["edges"], doc.get("labels")
+    except KeyError as exc:
+        raise ValueError(f"malformed graph JSON (KeyError: {exc})") from None
+    if type(n) is not int or n < 0:
+        raise ValueError("malformed graph JSON (n must be a non-negative integer)")
+    if type(edges) is not list:
+        raise ValueError("malformed graph JSON (edges must be a list)")
+    for i, e in enumerate(edges):
+        if type(e) is not list or len(e) != 2 or any(type(x) is not int for x in e):
+            raise ValueError(f"malformed graph JSON (edges[{i}] must be a pair of integers)")
+    if labels is not None and (type(labels) is not list
+                               or any(type(x) is not str for x in labels)):
+        raise ValueError("malformed graph JSON (labels must be a list of strings)")
+    return from_edges(n, [tuple(e) for e in edges], labels)
 
 
 def to_dot(g: Graph, highlight: Iterable[int] = ()) -> str:

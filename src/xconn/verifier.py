@@ -129,8 +129,11 @@ def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> SweepReport:
     Each named family runs once, in ``FAMILIES`` order.  A thread count
     below 1, an unknown family, a grid with no cell (a reversed range
     selects none) or an empty ``explicit_g`` raises ValueError.
-    Cells are built in report order (family, m, n, g sorted within a cell)
-    and ``pool.map`` keeps it, so the thread count never changes the report."""
+    Cells are built in report order (family, m, n, g sorted within a cell).
+    With more than one thread they are dispatched largest first (by m*n,
+    ties in report order), so the costliest cell does not start last, and
+    their rows are put back in report order, so the thread count never
+    changes the report."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     for family in config.families:
@@ -147,9 +150,13 @@ def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> SweepReport:
         raise ValueError(f"the sweep grid selects no cell: m_range {config.m_range}, "
                          f"n_range {config.n_range}, least orders (m, n) {least}")
     if threads > 1 and len(cells) > 1:
+        # longest first (Graham 1969); sorted() is stable, so ties keep report order
+        order = sorted(range(len(cells)), key=lambda i: -cells[i][1] * cells[i][2])
+        results: list[list[SweepRow]] = [[] for _ in cells]
         # the fork start method starts every worker up front
         with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
-            results = list(pool.map(_evaluate_cell, cells))
+            for i, rows in zip(order, pool.map(_evaluate_cell, [cells[i] for i in order])):
+                results[i] = rows
     else:
         results = [_evaluate_cell(c) for c in cells]
     return SweepReport(tuple(row for cell_rows in results for row in cell_rows))

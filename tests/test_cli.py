@@ -232,14 +232,46 @@ def test_sweep_json_is_the_same_serial_and_pooled(capsys):
     assert out_of(capsys) == serial
 
 
-@pytest.mark.parametrize("doc", ['{"n": 3}', '{"n": 3, "edges": 5}', '[1, 2]',
-                                 '{"n": 3, "edges": [null]}', 'not json',
-                                 pytest.param("[" * 100_000, id="deeply nested")])
-def test_malformed_graph_json_exits_1(tmp_path, capsys, doc):
+MALFORMED_GRAPHS = [
+    ('{"n": 3}', "KeyError: 'edges'"),
+    ('{"n": 3, "edges": 5}', "edges must be a list"),
+    ('[1, 2]', "the document must be an object"),
+    ('{"n": 3, "edges": [null]}', "edges[0] must be a pair of integers"),
+    ('not json', "Expecting value"),
+    ("[" * 100_000, "JSON nested too deeply"),
+    ('{"n": 3, "edges": [[true, 1], [1, 2]]}', "edges[0] must be a pair of integers"),
+    ('{"n": 3, "edges": [[0, 1], [1.0, 2]]}', "edges[1] must be a pair of integers"),
+    ('{"n": 3, "edges": [[0, 1], [1, 2, 0]]}', "edges[1] must be a pair of integers"),
+    ('{"n": 3, "edges": [[0]]}', "edges[0] must be a pair of integers"),
+    ('{"n": -1, "edges": []}', "n must be a non-negative integer"),
+    ('{"n": 3.0, "edges": []}', "n must be a non-negative integer"),
+    ('{"n": true, "edges": []}', "n must be a non-negative integer"),
+    ('{"n": 2, "edges": [[0, 1]], "labels": [0, 1]}', "labels must be a list of strings"),
+    ('{"n": 2, "edges": [[0, 1]], "labels": "ab"}', "labels must be a list of strings"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_GRAPHS,
+                         ids=[doc if len(doc) < 100 else "deeply nested"
+                              for doc, _ in MALFORMED_GRAPHS])
+def test_malformed_graph_json_exits_1(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(doc)
     assert run(["exact", "--file", str(path), "--g", "0"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_product_with_integer_labels_exits_1(tmp_path, capsys):
+    assert run(["product", "--family", "pxp", "--m", "3", "--n", "3"]) == 0
+    doc = json.loads(out_of(capsys))
+    doc["labels"] = list(range(9))
+    path = tmp_path / "int_labels.json"
+    path.write_text(json.dumps(doc))
+    assert run(["exact", "--file", str(path), "--g", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: malformed graph JSON (labels must be a list of strings)\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("meta", ['{"m": 2}', '7', '{"m": 2, "n": 2, "kind": null}',

@@ -215,12 +215,15 @@ def test_a_cell_repeats_the_same_searches(monkeypatch):
     assert runs[0] == runs[1] == [12]
 
 
-def test_sweep_pool_has_no_more_workers_than_cells(monkeypatch):
-    asked = []
-
+def serial_pool(monkeypatch):
+    """Replace the sweep's process pool with an in-process one that runs
+    ``map`` serially and records its worker count and the cells it gets."""
     class SerialPool:
+        workers: list[int] = []
+        cells: list[tuple[str, int, int]] = []
+
         def __init__(self, max_workers):
-            asked.append(max_workers)
+            self.workers.append(max_workers)
 
         def __enter__(self):
             return self
@@ -229,9 +232,29 @@ def test_sweep_pool_has_no_more_workers_than_cells(monkeypatch):
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            self.cells.extend((family, m, n) for family, m, n, _ in items)
             return map(fn, items)
 
     monkeypatch.setattr(verifier, "ProcessPoolExecutor", SerialPool)
+    return SerialPool
+
+
+def test_sweep_pool_has_no_more_workers_than_cells(monkeypatch):
+    pool = serial_pool(monkeypatch)
     config = SweepConfig(families=("pxp",), m_range=(3, 3), n_range=(3, 4))
     assert to_csv(sweep(config, threads=64)) == to_csv(sweep(config, threads=1))
-    assert asked == [2]
+    assert pool.workers == [2]
+
+
+def test_parallel_sweep_dispatches_largest_cells_first(monkeypatch):
+    pool = serial_pool(monkeypatch)
+    serial = sweep(SweepConfig(), threads=1)
+    assert sweep(SweepConfig(), threads=2) == serial
+    report_order = list(dict.fromkeys((r.family, r.m, r.n) for r in serial.rows))
+    # descending m*n, ties in report order: the stable sort of the report order
+    assert pool.cells == sorted(report_order, key=lambda cell: -cell[1] * cell[2])
+    assert pool.cells[0] == ("pxp", 6, 6)
+
+    small = SweepConfig(families=("pxp", "cxp"), m_range=(3, 5), n_range=(3, 4))
+    assert to_csv(sweep(small, threads=3)) == to_csv(sweep(small, threads=1))
