@@ -2,9 +2,10 @@
 
 Subcommands: gen, product, exact, formula, witness, classify-cut,
 check-layers, identity, sweep.  Exit codes: 0 success, 1 usage or input
-error, 2 outside the asserted closed-form domain, 3 inconclusive (budget or
-recursion limit), 4 verification failure.  No subcommand uses randomness,
-so identical invocations produce identical bytes.
+error, 2 outside the asserted closed-form domain, 3 inconclusive (budget,
+recursion limit, or a pooled sweep whose worker process died), 4
+verification failure.  No subcommand uses randomness, so identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 
 from . import graph as graphmod
@@ -322,7 +324,7 @@ def run(argv: list[str] | None = None) -> int:
     except (DomainError, WitnessError) as exc:
         print(f"out of domain: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except InconclusiveError as exc:
+    except (InconclusiveError, BrokenProcessPool) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (ValueError, OSError) as exc:

@@ -128,8 +128,3 @@ def build_witnesses(params: FamilyParams) -> dict[str, tuple[int, ...] | None]:
             out[which] = None
     return out
 
-
-def witness_sizes(params: FamilyParams) -> dict[str, int | None]:
-    """Actual sizes of all constructible witnesses (None where refused)."""
-    return {which: None if cut is None else len(cut)
-            for which, cut in build_witnesses(params).items()}

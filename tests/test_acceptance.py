@@ -24,7 +24,7 @@ from xconn.solver import (INFINITY, check_g_extra_cut, check_layer_bounds,
                           fragment_solve_many, kappa_extra_fragment,
                           kappa_extra_subset, min_cuts_grouped)
 from xconn.verifier import SweepConfig, check_cartesian_connectivity, sweep, to_csv
-from xconn.witnesses import witness_sizes
+from xconn.witnesses import build_witnesses
 
 GRIDS = {
     "pxp": [(m, n) for m in range(3, 7) for n in range(3, 7)],
@@ -45,7 +45,9 @@ def cell_data(family: str, m: int, n: int) -> dict:
         limit = guard_limit(family, m, n)
         gs = list(range(limit + 1))
         formula = {g: kappa_formula(FamilyParams(family, m, n, g)) for g in gs}
-        sizes = {g: witness_sizes(FamilyParams(family, m, n, g)) for g in gs}
+        sizes = {g: {w: None if c is None else len(c)
+                     for w, c in build_witnesses(FamilyParams(family, m, n, g)).items()}
+                 for g in gs}
         seeds = {}
         for g in gs:
             known = [s for s in sizes[g].values() if s is not None]

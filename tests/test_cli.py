@@ -1,8 +1,9 @@
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from xconn import solver
+from xconn import solver, verifier
 from xconn.cli import run
 
 
@@ -349,6 +350,45 @@ def test_sweep_cell_above_the_vertex_cap_runs_no_solve(capsys, monkeypatch):
     assert captured.out.splitlines()[1] == "cxc,7,6,0,1,8,,,14,12,8,1,,skip"
     assert captured.err == ""
 
+
+
+def test_sweep_settles_the_torus_gap_cell(capsys):
+    # C6 x C6 at g=2: the ceiling term ceil(4*sqrt(3)) + 4 = 11 is active, but no
+    # 2-extra cut has fewer than 2*ceil(2*sqrt(3)) + 4 = 12 vertices (895,193
+    # fragment nodes, a few seconds)
+    assert run(["sweep", "--families", "cxc", "--m-range", "6:6", "--n-range", "6:6",
+                "--g-list", "2", "--threads", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ("family,m,n,g,in_guard,formula,oracle,agree,"
+                            "w_layers1,w_layers2,w_block,w_valid,layer_bounds,cut_classes\n"
+                            "cxc,6,6,2,1,11,12,0,12,12,12,1,1,\n")
+    assert captured.err == "FAIL cxc m=6 n=6 g=2: formula 11 != oracle 12\n"
+
+
+def test_sweep_worker_death_is_inconclusive(capsys, monkeypatch):
+    class DeadPool:
+        """Stands in for the process pool; no worker process is started."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, cells):
+            raise BrokenProcessPool("A process in the process pool was terminated abruptly "
+                                    "while the future was running or pending.")
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", DeadPool)
+    assert run(["sweep", "--families", "pxp", "--m-range", "3:4", "--n-range", "3:3",
+                "--threads", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("inconclusive: A process in the process pool was terminated "
+                            "abruptly while the future was running or pending.\n")
+    assert captured.out == ""
 
 def test_unknown_sweep_family_reports_error(capsys):
     assert run(["sweep", "--families", "pxp,torus", "--threads", "1"]) == 1

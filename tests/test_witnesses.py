@@ -8,7 +8,7 @@ from xconn.products import family_product
 from xconn.solver import kappa_extra_fragment
 from xconn.witnesses import (WITNESS_KINDS, WitnessError, WitnessSpec, block_constructible,
                              build_witness, build_witnesses, plan_witness,
-                             validate_witness, witness_sizes)
+                             validate_witness)
 
 
 def coords(params, cut):
@@ -78,14 +78,16 @@ def test_out_of_guard_refused():
 
 
 def test_witness_sizes_cxc_550():
-    sizes = witness_sizes(FamilyParams("cxc", 5, 5, 0))
-    assert sizes == {"layers1": 10, "layers2": 10, "block": 8}
+    cuts = build_witnesses(FamilyParams("cxc", 5, 5, 0))
+    assert {which: len(cut) for which, cut in cuts.items()} == {
+        "layers1": 10, "layers2": 10, "block": 8}
 
 
 def test_block_cxc_size_exceeds_ceiling_term_at_g2():
     # the doubled square split costs 2q+2p+4 = 12 here while the closed form's
     # ceiling term says 11; the set is still a perfectly valid 2-extra cut,
-    # and the exact solver confirms 12 is optimal (see the probe script)
+    # and the exact solver confirms 12 is optimal (see
+    # tests/test_cli.py::test_sweep_settles_the_torus_gap_cell)
     params = FamilyParams("cxc", 6, 6, 2)
     spec = plan_witness(params, "block")
     assert spec.predicted_size == 11
@@ -100,28 +102,12 @@ def test_all_witnesses_validate_on_small_grid():
         for g in range(0, guard_limit(fam, m, n) + 1):
             params = FamilyParams(fam, m, n, g)
             terms = dict(formula_terms(params))
-            sizes = witness_sizes(params)
-            for which in ("layers1", "layers2"):
-                assert sizes[which] == terms[which]
-                cut = build_witness(plan_witness(params, which))
-                assert validate_witness(pg, cut, g).is_g_extra
-            if sizes["block"] is not None:
-                cut = build_witness(plan_witness(params, "block"))
-                assert validate_witness(pg, cut, g).is_g_extra
-
-
-def test_build_witnesses_agrees_with_witness_sizes():
-    for fam, m, n in [("pxp", 3, 3), ("pxp", 5, 6), ("cxp", 4, 3), ("cxp", 7, 5),
-                      ("cxc", 4, 5), ("cxc", 6, 6)]:
-        for g in range(0, guard_limit(fam, m, n) + 2):
-            params = FamilyParams(fam, m, n, g)
             cuts = build_witnesses(params)
-            assert tuple(cuts) == WITNESS_KINDS
-            assert witness_sizes(params) == {
-                which: None if cut is None else len(cut) for which, cut in cuts.items()}
-            for which, cut in cuts.items():
-                if cut is not None:
-                    assert cut == build_witness(plan_witness(params, which))
+            for which in ("layers1", "layers2"):
+                assert len(cuts[which]) == terms[which]
+                assert validate_witness(pg, cuts[which], g).is_g_extra
+            if cuts["block"] is not None:
+                assert validate_witness(pg, cuts["block"], g).is_g_extra
 
 
 def block_cxp_two_pass(params):
