@@ -10,12 +10,12 @@ from .solver import INFINITY, ExtraConnResult, InconclusiveError, check_g_extra_
 from .formulas import DomainError, FamilyParams, ceiling_identity, guard, \
     kappa_closed_form, kappa_formula, kappa_small_case
 from .witnesses import WitnessSpec, build_witness, plan_witness, validate_witness
-from .verifier import SweepConfig, SweepReport, check_cartesian_connectivity, \
+from .verifier import SweepConfig, SweepRow, check_cartesian_connectivity, \
     check_min_cut_classification, sweep
 
 __all__ = [
     "Graph", "ProductGraph", "ExtraConnResult", "FamilyParams", "WitnessSpec",
-    "SweepConfig", "SweepReport", "INFINITY", "DomainError", "InconclusiveError",
+    "SweepConfig", "SweepRow", "INFINITY", "DomainError", "InconclusiveError",
     "components", "from_edges", "induced_subgraph", "is_complete", "is_connected",
     "make_cycle", "make_path", "min_degree", "neighborhood",
     "cartesian_product", "classify_cut", "family_product", "layer",

@@ -232,8 +232,8 @@ def cmd_sweep(args) -> int:
         _emit(to_csv(report), args.out)
     failures = report_failures(report)
     if args.out:
-        agreed = sum(1 for r in report.rows if r.agree)
-        print(f"wrote {args.out}: {len(report.rows)} rows, {agreed} asserted agreements, "
+        agreed = sum(1 for r in report if r.agree)
+        print(f"wrote {args.out}: {len(report)} rows, {agreed} asserted agreements, "
               f"{len(failures)} failures")
     for line in failures:
         print(f"FAIL {line}", file=sys.stderr)

@@ -160,6 +160,8 @@ def kappa_closed_form(family: str, m: int, n: int, g: int) -> int:
             raise ValueError("cycle order must be >= 3")
         if m == 3:
             return kappa_small_case("c3p", n, g)
+        if n < 1:
+            raise ValueError("path order must be >= 1")
         if n < 3:
             raise DomainError(f"C_m x P_n with n={n} < 3 has no asserted closed form")
     elif family == "cxc":

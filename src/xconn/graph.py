@@ -224,7 +224,16 @@ def to_json(g: Graph) -> str:
 
 def from_json(text: str) -> Graph:
     """Parse the interchange format; a malformed document raises ValueError."""
-    return from_doc(json.loads(text))
+    return from_doc(parse_json(text))
+
+
+def parse_json(text: str) -> object:
+    """``json.loads``, raising ValueError also for a document nested too
+    deeply for the parser's recursion limit."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def from_doc(doc: object) -> Graph:

@@ -21,7 +21,8 @@ from functools import cached_property
 from typing import Iterable
 
 from .formulas import FAMILIES, family_cycles  # FAMILIES is re-exported
-from .graph import (Graph, components, from_edges, induced_subgraph, make_cycle, make_path)
+from .graph import (Graph, _check_vertex_set, components, from_edges, induced_subgraph,
+                    make_cycle, make_path, parse_json)
 from .graph import from_doc as graph_from_doc
 
 
@@ -54,20 +55,14 @@ class ProductGraph:
             raise ValueError(f"vertex {v} out of range")
         return divmod(v, self.n)
 
+    @cached_property
     def factor1(self) -> Graph:
         """Factor 1 recovered from the layer at j=0 (isomorphic by construction)."""
-        return self._factor1
-
-    def factor2(self) -> Graph:
-        """Factor 2 recovered from the layer at i=0."""
-        return self._factor2
-
-    @cached_property
-    def _factor1(self) -> Graph:
         return induced_subgraph(self.graph, [self.id(i, 0) for i in range(self.m)])[0]
 
     @cached_property
-    def _factor2(self) -> Graph:
+    def factor2(self) -> Graph:
+        """Factor 2 recovered from the layer at i=0."""
         return induced_subgraph(self.graph, [self.id(0, j) for j in range(self.n)])[0]
 
 
@@ -107,7 +102,7 @@ def _product(g1: Graph, g2: Graph, kind: str) -> ProductGraph:
 
 def _as_path_or_cycle(g: Graph) -> Graph | None:
     """``make_path`` or ``make_cycle`` of g's order when g has its edges."""
-    shapes = [make_path(g.n)] + ([make_cycle(g.n)] if g.n >= 3 else [])
+    shapes = (make(g.n) for make, least in ((make_path, 1), (make_cycle, 3)) if g.n >= least)
     return next((shape for shape in shapes if shape.adj == g.adj), None)
 
 
@@ -146,8 +141,9 @@ def layer(pg: ProductGraph, axis: str, index: int) -> tuple[int, ...]:
 
 
 def slice_of_set(pg: ProductGraph, s: Iterable[int], axis: str, index: int) -> tuple[int, ...]:
-    """Intersection of ``s`` with the indicated layer."""
-    return tuple(sorted(set(s) & set(layer(pg, axis, index))))
+    """Intersection of ``s`` with the indicated layer; a vertex of ``s``
+    outside the product raises ValueError."""
+    return tuple(sorted(_check_vertex_set(pg.graph, s) & set(layer(pg, axis, index))))
 
 
 def _is_vertex_cut(factor: Graph, cut: frozenset[int]) -> bool:
@@ -160,11 +156,11 @@ def make_i_set(pg: ProductGraph, factor_cut: Iterable[int], axis: str) -> tuple[
     """S1 x V2 (axis='factor1') or V1 x S2 (axis='factor2') for a factor vertex cut."""
     cut = frozenset(factor_cut)
     if axis == "factor1":
-        if not _is_vertex_cut(pg.factor1(), cut):
+        if not _is_vertex_cut(pg.factor1, cut):
             raise ValueError("factor 1 set is not a vertex cut of factor 1")
         return tuple(sorted(pg.id(i, j) for i in cut for j in range(pg.n)))
     if axis == "factor2":
-        if not _is_vertex_cut(pg.factor2(), cut):
+        if not _is_vertex_cut(pg.factor2, cut):
             raise ValueError("factor 2 set is not a vertex cut of factor 2")
         return tuple(sorted(pg.id(i, j) for i in range(pg.m) for j in cut))
     raise ValueError(f"axis must be 'factor1' or 'factor2', got {axis!r}")
@@ -173,7 +169,7 @@ def make_i_set(pg: ProductGraph, factor_cut: Iterable[int], axis: str) -> tuple[
 def make_l_set(pg: ProductGraph, s1: Iterable[int], a1: Iterable[int],
                s2: Iterable[int], a2: Iterable[int]) -> tuple[int, ...]:
     """(S1 x A2) u (S1 x S2) u (A1 x S2) with A_i a component of factor_i - S_i."""
-    f1, f2 = pg.factor1(), pg.factor2()
+    f1, f2 = pg.factor1, pg.factor2
     s1, a1, s2, a2 = frozenset(s1), frozenset(a1), frozenset(s2), frozenset(a2)
     if not _is_vertex_cut(f1, s1):
         raise ValueError("S1 is not a vertex cut of factor 1")
@@ -246,12 +242,6 @@ def classify_cut(pg: ProductGraph, cut: Iterable[int]) -> CutClassification:
     return CutClassification("neither")
 
 
-def verify_product_structure(pg: ProductGraph) -> bool:
-    """Re-derive the product from its layer-recovered factors and compare."""
-    rebuilt = _product(pg.factor1(), pg.factor2(), pg.kind)
-    return rebuilt.graph.adj == pg.graph.adj
-
-
 def to_json(pg: ProductGraph) -> str:
     doc = {
         "n": pg.graph.n,
@@ -265,7 +255,7 @@ def to_json(pg: ProductGraph) -> str:
 
 def from_json(text: str) -> ProductGraph:
     """Parse a product document; a malformed one raises ValueError."""
-    return from_doc(json.loads(text))
+    return from_doc(parse_json(text))
 
 
 def from_doc(doc: object) -> ProductGraph:
@@ -279,14 +269,17 @@ def from_doc(doc: object) -> ProductGraph:
     if type(m) is not int or type(n) is not int:
         raise ValueError("malformed product JSON (factor orders must be integers)")
     pg = ProductGraph(graph, m, n, kind)
-    if not verify_product_structure(pg):
+    # the product rebuilt from its recovered factors must give back its edges;
+    # path and cycle factors are rebuilt as such to declare their maps, as in
+    # family_product, and any other factor declares none
+    shapes = _as_path_or_cycle(pg.factor1), _as_path_or_cycle(pg.factor2)
+    declared = None not in shapes
+    rebuilt = _product(*(shapes if declared else (pg.factor1, pg.factor2)), kind).graph
+    if rebuilt.adj != graph.adj:
         raise ValueError("edge set inconsistent with declared product structure")
-    # path and cycle factors declare their maps, as in family_product
-    f1, f2 = _as_path_or_cycle(pg.factor1()), _as_path_or_cycle(pg.factor2())
-    if f1 is None or f2 is None:
+    if not declared:
         return pg
-    autos = _product(f1, f2, kind).graph.automorphisms
-    return ProductGraph(replace(graph, automorphisms=autos), m, n, kind)
+    return ProductGraph(replace(graph, automorphisms=rebuilt.automorphisms), m, n, kind)
 
 
 def render_coords(pg: ProductGraph, vertices: Iterable[int]) -> str:

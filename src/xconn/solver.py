@@ -455,8 +455,8 @@ def check_layer_bounds(pg: ProductGraph, cuts: Iterable[Iterable[int]], extra: i
     cuts = [frozenset(cut) for cut in cuts]
     if not all(check_g_extra_cut(pg.graph, cut, extra).is_g_extra for cut in cuts):
         raise ValueError("set is not a g-extra cut of the product")
-    k1 = classical_connectivity(pg.factor1())
-    k2 = classical_connectivity(pg.factor2())
+    k1 = classical_connectivity(pg.factor1)
+    k2 = classical_connectivity(pg.factor2)
     for cut in cuts:
         # a row i is the slice inside the factor-2 layer at x_i: bound kappa(G2);
         # a column j is the slice inside the factor-1 layer at y_j: bound kappa(G1)

@@ -55,11 +55,6 @@ class SweepRow:
     cut_classes: str | None                  # "pass" | "fail" | "skip" (g=0 only)
 
 
-@dataclass(frozen=True, slots=True)
-class SweepReport:
-    rows: tuple[SweepRow, ...]
-
-
 def _cell_grid(config: SweepConfig, family: str) -> list[tuple[int, int]]:
     (dm, dn) = DEFAULT_GRIDS[family]
     m_lo, m_hi = config.m_range or dm
@@ -123,8 +118,9 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
     return rows
 
 
-def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> SweepReport:
-    """Evaluate the whole grid; cells are independent and may run in parallel.
+def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> tuple[SweepRow, ...]:
+    """Evaluate the whole grid and return its rows, the report; cells are
+    independent and may run in parallel.
 
     Each named family runs once, in ``FAMILIES`` order.  A thread count
     below 1, an unknown family, a grid with no cell (a reversed range
@@ -159,7 +155,7 @@ def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> SweepReport:
                 results[i] = rows
     else:
         results = [_evaluate_cell(c) for c in cells]
-    return SweepReport(tuple(row for cell_rows in results for row in cell_rows))
+    return tuple(row for cell_rows in results for row in cell_rows)
 
 
 CSV_HEADER = ("family,m,n,g,in_guard,formula,oracle,agree,"
@@ -176,9 +172,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def to_csv(report: SweepReport) -> str:
+def to_csv(rows: Iterable[SweepRow]) -> str:
     lines = [CSV_HEADER]
-    for r in report.rows:
+    for r in rows:
         lines.append(",".join([
             r.family, str(r.m), str(r.n), str(r.g), _fmt(r.in_guard),
             _fmt(r.formula_value), _fmt(r.oracle_value), _fmt(r.agree),
@@ -188,7 +184,7 @@ def to_csv(report: SweepReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json_dict(report: SweepReport) -> dict:
+def to_json_dict(rows: Iterable[SweepRow]) -> dict:
     return {
         "rows": [
             {
@@ -203,15 +199,15 @@ def to_json_dict(report: SweepReport) -> dict:
                 "layer_bounds_pass": r.layer_bounds_pass,
                 "cut_classes": r.cut_classes,
             }
-            for r in report.rows
+            for r in rows
         ],
     }
 
 
-def report_failures(report: SweepReport) -> list[str]:
+def report_failures(rows: Iterable[SweepRow]) -> list[str]:
     """Human-readable list of every asserted property that failed."""
     fails = []
-    for r in report.rows:
+    for r in rows:
         where = f"{r.family} m={r.m} n={r.n} g={r.g}"
         if r.agree is False:
             fails.append(f"{where}: formula {r.formula_value} != oracle {r.oracle_value}")

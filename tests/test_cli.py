@@ -25,6 +25,13 @@ def test_formula_out_of_guard_exits_2(capsys):
     assert run(["formula", "--family", "cxp", "--m", "4", "--n", "3", "--g", "3"]) == 2
 
 
+@pytest.mark.parametrize("n, code", [("0", 1), ("-5", 1), ("2", 2)])
+def test_formula_cxp_path_order(capsys, n, code):
+    # no path of order n < 1 exists; orders 1 and 2 are outside the domain
+    assert run(["formula", "--family", "cxp", "--m", "4", "--n", n, "--g", "0"]) == code
+    assert capsys.readouterr().err.startswith("error: " if code == 1 else "out of domain: ")
+
+
 def test_formula_json(capsys):
     assert run(["formula", "--family", "cxc", "--m", "6", "--n", "6", "--g", "2",
                 "--format", "json"]) == 0

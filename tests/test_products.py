@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from strategies import connected_graphs
 from xconn.graph import (Graph, components, from_edges, induced_subgraph, is_complete,
                          make_cycle, make_path, min_degree)
+from xconn.graph import from_json as graph_from_json
 from xconn.products import (FAMILIES, cartesian_product, classify_cut, family_product,
                             from_json, layer, make_i_set, make_l_set, render_coords,
-                            slice_of_set, strong_product, to_json, verify_product_structure)
+                            slice_of_set, strong_product, to_json)
 from xconn.solver import enumerate_min_cuts, fragment_solve_many
 
 
@@ -128,7 +129,7 @@ def test_layers():
 
 def test_factor_recovery():
     pg = family_product("cxp", 5, 4)
-    f1, f2 = pg.factor1(), pg.factor2()
+    f1, f2 = pg.factor1, pg.factor2
     assert f1.adj == make_cycle(5).adj
     assert f2.adj == make_path(4).adj
 
@@ -137,10 +138,10 @@ def test_factor_recovery():
 @pytest.mark.parametrize("kind", ["strong", "cartesian"])
 def test_cached_factors_are_the_layers(family, m, n, kind):
     pg = family_product(family, m, n, kind)
-    f1, f2 = pg.factor1(), pg.factor2()
+    f1, f2 = pg.factor1, pg.factor2
     assert f1 == induced_subgraph(pg.graph, layer(pg, "factor1", 0))[0]
     assert f2 == induced_subgraph(pg.graph, layer(pg, "factor2", 0))[0]
-    assert pg.factor1() is f1 and pg.factor2() is f2  # recovered once per product
+    assert pg.factor1 is f1 and pg.factor2 is f2  # recovered once per product
     fresh = family_product(family, m, n, kind)
     assert pg == fresh and hash(pg) == hash(fresh) and to_json(pg) == to_json(fresh)
 
@@ -150,6 +151,9 @@ def test_slice_of_set():
     column = tuple(pg.id(1, j) for j in range(3))
     assert slice_of_set(pg, column, "factor2", 1) == column
     assert slice_of_set(pg, column, "factor2", 0) == ()
+    for outside in (999, -1):  # as every other vertex-set query
+        with pytest.raises(ValueError, match=f"vertex {outside} out of range"):
+            slice_of_set(pg, {outside, 1}, "factor2", 0)
 
 
 def test_make_i_set():
@@ -225,7 +229,7 @@ def test_classify_all_min_cuts_of_small_products():
 def test_constructed_sets_classify_as_built(fam_mn, seed_idx):
     fam, m, n = fam_mn
     pg = family_product(fam, m, n)
-    f2 = pg.factor2()
+    f2 = pg.factor2
     cuts2 = [c for c in ({1}, {0, 2}, {1, 3 % f2.n}) if
              len(components(f2, c)) >= 2 and len(c) < f2.n]
     if not cuts2:
@@ -239,12 +243,17 @@ def test_product_json_round_trip_and_validation():
     text = to_json(pg)
     back = from_json(text)
     assert back.graph.adj == pg.graph.adj and back.kind == "strong"
-    assert verify_product_structure(pg)
 
     doc = json.loads(text)
     doc["edges"] = doc["edges"][:-1]  # drop an edge: structure no longer a product
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="inconsistent with declared product structure"):
         from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("parse", [graph_from_json, from_json], ids=["graph", "product"])
+def test_deeply_nested_json_raises_value_error(parse):
+    with pytest.raises(ValueError, match="JSON nested too deeply"):
+        parse("[" * 100_000)
 
 
 def test_family_product_labels():

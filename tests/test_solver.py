@@ -281,7 +281,7 @@ def test_factor_solves_leave_the_product_cuts_alone(monkeypatch):
         return search(masks, n, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_fragment_search", counted)
-    assert classical_connectivity(pg.factor1()) == 1  # solves the star
+    assert classical_connectivity(pg.factor1) == 1  # solves the star
     grouped = min_cuts_grouped(pg.graph, values, results)
     assert pg.graph.n not in orders and orders
     assert grouped == {g: enumerate_min_cuts(pg.graph, g, known_value=v)

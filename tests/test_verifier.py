@@ -9,7 +9,7 @@ from xconn.cli import run
 from xconn.graph import make_cycle, make_path
 from xconn.products import classify_cut, family_product
 from xconn.solver import INFINITY, enumerate_min_cuts
-from xconn.verifier import (SweepConfig, SweepReport, _evaluate_cell,
+from xconn.verifier import (SweepConfig, _evaluate_cell,
                             check_cartesian_connectivity, check_min_cut_classification,
                             report_failures, sweep, to_csv, to_json_dict)
 from xconn.witnesses import WITNESS_KINDS
@@ -21,8 +21,8 @@ BENCHMARK_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "reference" 
 
 def test_small_sweep_all_agree():
     report = sweep(SMALL)
-    assert report.rows
-    for row in report.rows:
+    assert report
+    for row in report:
         assert row.in_guard and row.agree is True
         assert row.witnesses_valid is True
         assert row.oracle_value == row.formula_value
@@ -31,9 +31,9 @@ def test_small_sweep_all_agree():
 
 def test_sweep_rows_cover_every_in_guard_g():
     report = sweep(SMALL)
-    cells = {(r.m, r.n) for r in report.rows}
+    cells = {(r.m, r.n) for r in report}
     assert cells == {(3, 3), (3, 4), (4, 3), (4, 4)}
-    gs_33 = [r.g for r in report.rows if (r.m, r.n) == (3, 3)]
+    gs_33 = [r.g for r in report if (r.m, r.n) == (3, 3)]
     assert gs_33 == [0, 1, 2]
 
 
@@ -99,7 +99,7 @@ def test_sweep_explicit_g_records_out_of_guard_observationally():
     config = SweepConfig(families=("pxp",), m_range=(3, 3), n_range=(3, 3),
                          explicit_g=(0, 5))
     report = sweep(config)
-    by_g = {r.g: r for r in report.rows}
+    by_g = {r.g: r for r in report}
     assert by_g[0].in_guard and by_g[0].agree is True
     row = by_g[5]
     assert not row.in_guard and row.formula_value is None and row.agree is None
@@ -121,7 +121,7 @@ def test_kept_records_have_no_instance_dict():
     row = _evaluate_cell(("pxp", 3, 3, SweepConfig()))[0]
     assert len(row.witness_sizes) == len(WITNESS_KINDS)
     res = solver.kappa_extra_fragment(family_product("pxp", 3, 3).graph, 0)
-    for record in (row, SweepReport((row,)), res, res.stats):
+    for record in (row, res, res.stats):
         assert not hasattr(record, "__dict__")
     # the process pool pickles rows
     for record in (row, res):
@@ -176,7 +176,7 @@ def test_golden_csv_keeps_every_field_of_the_benchmark_reference():
 
 def test_every_solved_row_with_a_cut_checks_the_layer_bounds():
     # the cell's one solve holds every minimum cut, so no solved row goes unchecked
-    for row in sweep(SweepConfig()).rows:
+    for row in sweep(SweepConfig()):
         has_cut = row.m * row.n <= verifier.MAX_VERTICES and row.oracle_value is not INFINITY
         assert (row.layer_bounds_pass is not None) is has_cut, row
 
@@ -251,7 +251,7 @@ def test_parallel_sweep_dispatches_largest_cells_first(monkeypatch):
     pool = serial_pool(monkeypatch)
     serial = sweep(SweepConfig(), threads=1)
     assert sweep(SweepConfig(), threads=2) == serial
-    report_order = list(dict.fromkeys((r.family, r.m, r.n) for r in serial.rows))
+    report_order = list(dict.fromkeys((r.family, r.m, r.n) for r in serial))
     # descending m*n, ties in report order: the stable sort of the report order
     assert pool.cells == sorted(report_order, key=lambda cell: -cell[1] * cell[2])
     assert pool.cells[0] == ("pxp", 6, 6)
