@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 
 from . import graph as graphmod
@@ -52,10 +51,11 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_any(path: str) -> tuple[graphmod.Graph, ProductGraph | None]:
     with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+        text = fh.read()
+    try:
+        doc = graphmod.parse_json(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if isinstance(doc, dict) and "product" in doc:
         pg = productsmod.from_doc(doc)
         return pg.graph, pg
@@ -324,7 +324,7 @@ def run(argv: list[str] | None = None) -> int:
     except (DomainError, WitnessError) as exc:
         print(f"out of domain: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (InconclusiveError, BrokenProcessPool) as exc:
+    except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (ValueError, OSError) as exc:

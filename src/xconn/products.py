@@ -211,10 +211,7 @@ def classify_cut(pg: ProductGraph, cut: Iterable[int]) -> CutClassification:
     factor 2, then L recovered from the two distinct row slices), and the
     first that rebuilds to the cut is returned, so verdicts are deterministic.
     """
-    s = frozenset(cut)
-    for v in s:
-        if not 0 <= v < pg.graph.n:
-            raise ValueError(f"cut vertex {v} out of range")
+    s = _check_vertex_set(pg.graph, cut)
     if len(components(pg.graph, s)) < 2:
         raise ValueError("set is not a vertex cut of the product")
 

@@ -10,15 +10,15 @@ contains no timing data, so identical configurations produce identical bytes.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
 from .formulas import FAMILIES, FAMILY_MINS, FamilyParams, guard_limit, kappa_formula
 from .graph import Graph, min_degree
 from .products import ProductGraph, cartesian_product, classify_cut, family_product
-from .solver import (INFINITY, check_layer_bounds, classical_connectivity, fragment_solve_many,
-                     kappa_extra_fragment, min_cuts_grouped)
+from .solver import (INFINITY, InconclusiveError, check_layer_bounds, classical_connectivity,
+                     fragment_solve_many, kappa_extra_fragment, min_cuts_grouped)
 from .witnesses import WITNESS_KINDS, build_witnesses, validate_witness
 
 DEFAULT_GRIDS: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
@@ -29,6 +29,16 @@ DEFAULT_GRIDS: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
 
 MAX_VERTICES = 36       # cells above this are inconclusive
 CLASSIFY_LIMIT = 16     # I/L classification vertex cap
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor`` is imported on first access (PEP 562), so a
+    process that never runs a pooled sweep never loads ``multiprocessing``.
+    A class set on this module attribute replaces the pool in ``sweep``."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +139,10 @@ def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> tuple[SweepR
     With more than one thread they are dispatched largest first (by m*n,
     ties in report order), so the costliest cell does not start last, and
     their rows are put back in report order, so the thread count never
-    changes the report."""
+    changes the report.
+
+    Raises ``InconclusiveError``, with the pool's message, when a worker
+    process of a pooled sweep dies."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     for family in config.families:
@@ -149,10 +162,15 @@ def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> tuple[SweepR
         # longest first (Graham 1969); sorted() is stable, so ties keep report order
         order = sorted(range(len(cells)), key=lambda i: -cells[i][1] * cells[i][2])
         results: list[list[SweepRow]] = [[] for _ in cells]
-        # the fork start method starts every worker up front
-        with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
-            for i, rows in zip(order, pool.map(_evaluate_cell, [cells[i] for i in order])):
-                results[i] = rows
+        from concurrent.futures.process import BrokenProcessPool
+        pool_class = sys.modules[__name__].ProcessPoolExecutor  # a stand-in set here wins
+        try:
+            # the fork start method starts every worker up front
+            with pool_class(max_workers=min(threads, len(cells))) as pool:
+                for i, rows in zip(order, pool.map(_evaluate_cell, [cells[i] for i in order])):
+                    results[i] = rows
+        except BrokenProcessPool as exc:
+            raise InconclusiveError(str(exc)) from exc
     else:
         results = [_evaluate_cell(c) for c in cells]
     return tuple(row for cell_rows in results for row in cell_rows)

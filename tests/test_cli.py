@@ -245,8 +245,8 @@ MALFORMED_GRAPHS = [
     ('{"n": 3, "edges": 5}', "edges must be a list"),
     ('[1, 2]', "the document must be an object"),
     ('{"n": 3, "edges": [null]}', "edges[0] must be a pair of integers"),
-    ('not json', "Expecting value"),
-    ("[" * 100_000, "JSON nested too deeply"),
+    ('not json', "{path}: Expecting value"),
+    ("[" * 100_000, "{path}: JSON nested too deeply"),
     ('{"n": 3, "edges": [[true, 1], [1, 2]]}', "edges[0] must be a pair of integers"),
     ('{"n": 3, "edges": [[0, 1], [1.0, 2]]}', "edges[1] must be a pair of integers"),
     ('{"n": 3, "edges": [[0, 1], [1, 2, 0]]}', "edges[1] must be a pair of integers"),
@@ -267,7 +267,7 @@ def test_malformed_graph_json_exits_1(tmp_path, capsys, doc, message):
     path.write_text(doc)
     assert run(["exact", "--file", str(path), "--g", "0"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message.format(path=path) in err
 
 
 def test_product_with_integer_labels_exits_1(tmp_path, capsys):

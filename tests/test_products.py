@@ -156,6 +156,13 @@ def test_slice_of_set():
             slice_of_set(pg, {outside, 1}, "factor2", 0)
 
 
+@pytest.mark.parametrize("outside", [999, -1])
+def test_classify_cut_rejects_out_of_range_vertices(outside):
+    pg = family_product("pxp", 3, 3)
+    with pytest.raises(ValueError, match=f"^vertex {outside} out of range for graph of order 9$"):
+        classify_cut(pg, {outside, 1, 4, 7})
+
+
 def test_make_i_set():
     pg = family_product("pxp", 3, 3)
     cut = make_i_set(pg, {1}, "factor2")

@@ -1,14 +1,20 @@
+import concurrent.futures
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
+import xconn
 from xconn import solver, verifier
 from xconn.cli import run
 from xconn.graph import make_cycle, make_path
 from xconn.products import classify_cut, family_product
-from xconn.solver import INFINITY, enumerate_min_cuts
+from xconn.solver import INFINITY, InconclusiveError, enumerate_min_cuts
 from xconn.verifier import (SweepConfig, _evaluate_cell,
                             check_cartesian_connectivity, check_min_cut_classification,
                             report_failures, sweep, to_csv, to_json_dict)
@@ -258,3 +264,42 @@ def test_parallel_sweep_dispatches_largest_cells_first(monkeypatch):
 
     small = SweepConfig(families=("pxp", "cxp"), m_range=(3, 5), n_range=(3, 4))
     assert to_csv(sweep(small, threads=3)) == to_csv(sweep(small, threads=1))
+
+
+def test_process_pool_is_imported_on_first_pooled_use():
+    # a fresh interpreter, as every other test may already have loaded the pool
+    code = "\n".join([
+        "import concurrent.futures, sys, xconn.cli",
+        "from xconn import verifier",
+        "pool = {'multiprocessing', 'concurrent.futures.process'}",
+        "print(sorted(pool & set(sys.modules)))",
+        "print(verifier.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor)",
+        "print(hasattr(verifier, 'no_such_name'))",
+        "print(sorted(pool & set(sys.modules)))",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(xconn.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.splitlines() == ["[]", "True", "False",
+                                "['concurrent.futures.process', 'multiprocessing']"]
+
+
+def test_dead_worker_makes_a_pooled_sweep_inconclusive(monkeypatch):
+    class DeadPool:
+        """Stands in for the process pool; no worker process is started."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            raise BrokenProcessPool("a worker died")
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", DeadPool)
+    with pytest.raises(InconclusiveError, match="^a worker died$"):
+        sweep(SMALL, threads=2)
