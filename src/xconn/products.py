@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .formulas import FAMILIES, family_cycles  # FAMILIES is re-exported
-from .graph import (Graph, _check_vertex_set, components, from_edges, induced_subgraph,
+from .graph import (Graph, _check_vertex_set, components, induced_subgraph,
                     make_cycle, make_path, parse_json)
 from .graph import from_doc as graph_from_doc
 
@@ -70,20 +70,15 @@ def _product(g1: Graph, g2: Graph, kind: str) -> ProductGraph:
     if g1.n == 0 or g2.n == 0:
         raise ValueError("product factors must be nonempty")
     m, n = g1.n, g2.n
-    edges: list[tuple[int, int]] = []
-    for i in range(m):
-        for j in range(n):
-            v = i * n + j
-            for j2 in g2.adj[j]:
-                if j2 > j:
-                    edges.append((v, i * n + j2))
-            for i2 in g1.adj[i]:
-                if i2 > i:
-                    edges.append((v, i2 * n + j))
-                if kind == "strong":
-                    for j2 in g2.adj[j]:
-                        if i2 > i:
-                            edges.append((v, i2 * n + j2))
+    # closed neighbourhoods N[i] of factor 1 and N[j] of factor 2
+    near1 = [sorted((i, *g1.adj[i])) for i in range(m)]
+    near2 = [sorted((j, *g2.adj[j])) for j in range(n)]
+    if kind == "strong":  # N[i] x N[j] minus (i, j), in row-major order
+        adj = [tuple(i2 * n + j2 for i2 in near1[i] for j2 in near2[j] if (i2, j2) != (i, j))
+               for i in range(m) for j in range(n)]
+    else:  # the two layer neighbourhoods
+        adj = [tuple(sorted([i * n + j2 for j2 in g2.adj[j]] + [i2 * n + j for i2 in g1.adj[i]]))
+               for i in range(m) for j in range(n)]
     labels = None
     if g1.labels is not None and g2.labels is not None:
         labels = tuple(f"({g1.labels[i]},{g2.labels[j]})"
@@ -96,7 +91,7 @@ def _product(g1: Graph, g2: Graph, kind: str) -> ProductGraph:
               for tau in g2.automorphisms]
     if g1.adj == g2.adj:
         autos.append(tuple(j * n + i for i in range(m) for j in range(n)))
-    graph = from_edges(m * n, edges, labels, autos)
+    graph = Graph(m * n, tuple(adj), labels, tuple(autos))
     return ProductGraph(graph, m, n, kind)
 
 

@@ -17,8 +17,9 @@ from typing import Iterable
 from .formulas import FAMILIES, FAMILY_MINS, FamilyParams, guard_limit, kappa_formula
 from .graph import Graph, min_degree
 from .products import ProductGraph, cartesian_product, classify_cut, family_product
-from .solver import (INFINITY, InconclusiveError, check_layer_bounds, classical_connectivity,
-                     fragment_solve_many, kappa_extra_fragment, min_cuts_grouped)
+from .solver import (INFINITY, ExtraConnResult, InconclusiveError, check_layer_bounds,
+                     classical_connectivity, fragment_solve_many, kappa_extra_fragment,
+                     min_cuts_grouped)
 from .witnesses import WITNESS_KINDS, build_witnesses, validate_witness
 
 DEFAULT_GRIDS: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
@@ -58,11 +59,17 @@ class SweepRow:
     in_guard: bool
     formula_value: int | None
     oracle_value: int | float | None         # int, INFINITY, or None=inconclusive
-    agree: bool | None
     witness_sizes: tuple[int | None, ...]    # in WITNESS_KINDS order
     witnesses_valid: bool | None
     layer_bounds_pass: bool | None
     cut_classes: str | None                  # "pass" | "fail" | "skip" (g=0 only)
+
+    @property
+    def agree(self) -> bool | None:
+        """Whether the oracle meets the formula; None when either is missing."""
+        if self.formula_value is None or self.oracle_value is None:
+            return None
+        return self.oracle_value == self.formula_value
 
 
 def _cell_grid(config: SweepConfig, family: str) -> list[tuple[int, int]]:
@@ -84,47 +91,40 @@ def _evaluate_cell(args: tuple[str, int, int, SweepConfig]) -> list[SweepRow]:
     else:
         gs = list(range(0, limit + 1))
 
-    formula: dict[int, int | None] = {}
-    sizes: dict[int, tuple[int | None, ...]] = {}
-    valid: dict[int, bool | None] = {}
+    # per g, every witness kind's cut (None where refused) with its verdict;
+    # the smallest valid cut seeds the solve
+    witnesses: dict[int, list[tuple[tuple[int, ...] | None, bool]]] = {}
     seeds: dict[int, int] = {}
     for g in gs:
-        params = FamilyParams(family, m, n, g)
-        formula[g] = kappa_formula(params).value if g <= limit else None
-        cuts = build_witnesses(params)   # all None beyond the guard
-        sizes[g] = tuple(None if c is None else len(c) for c in cuts.values())
-        built = [c for c in cuts.values() if c is not None]
-        ok = True
-        for cut in built:
-            if validate_witness(pg, cut, g).is_g_extra:
-                seeds[g] = min(seeds.get(g, len(cut)), len(cut))
-            else:
-                ok = False
-        valid[g] = ok if built else None
+        cuts = build_witnesses(FamilyParams(family, m, n, g))   # all None beyond the guard
+        witnesses[g] = [(c, c is not None and validate_witness(pg, c, g).is_g_extra)
+                        for c in cuts.values()]
+        valid = [len(c) for c, ok in witnesses[g] if ok]
+        if valid:
+            seeds[g] = min(valid)
 
-    oracle: dict[int, int | float | None] = {g: None for g in gs}
+    results: dict[int, ExtraConnResult] = {}
     min_cuts: dict[int, list[tuple[int, ...]]] = {}
-    layer_pass: dict[int, bool] = {}
     if pg.graph.n <= MAX_VERTICES:
         results = fragment_solve_many(pg.graph, gs, seeds)
-        oracle = {g: results[g].value for g in gs}
-        finite = {g: int(v) for g, v in oracle.items() if v is not INFINITY}
+        finite = {g: int(r.value) for g, r in results.items() if r.value is not INFINITY}
         min_cuts = min_cuts_grouped(pg.graph, finite, results)
-        layer_pass = {g: check_layer_bounds(pg, cuts, g) for g, cuts in min_cuts.items()}
 
     rows: list[SweepRow] = []
     for g in gs:
-        ov = oracle[g]
-        fv = formula[g]
-        agree = None if fv is None or ov is None else ov == fv
+        formula = kappa_formula(FamilyParams(family, m, n, g)).value if g <= limit else None
+        oracle = results[g].value if g in results else None
+        sizes = tuple(None if c is None else len(c) for c, _ in witnesses[g])
+        verdicts = [ok for c, ok in witnesses[g] if c is not None]
+        cuts = min_cuts.get(g)
+        layer_ok = None if cuts is None else check_layer_bounds(pg, cuts, g)
         classes: str | None = None
-        if g == 0 and g in min_cuts and pg.graph.n <= CLASSIFY_LIMIT:
-            classes = "pass" if _all_i_or_l_sets(pg, min_cuts[g]) else "fail"
-        if classes is None and g == 0:
+        if g == 0:
             classes = "skip"
-        rows.append(SweepRow(
-            family, m, n, g, g <= limit, fv, ov, agree,
-            sizes[g], valid[g], layer_pass.get(g), classes))
+            if cuts is not None and pg.graph.n <= CLASSIFY_LIMIT:
+                classes = "pass" if _all_i_or_l_sets(pg, cuts) else "fail"
+        rows.append(SweepRow(family, m, n, g, g <= limit, formula, oracle, sizes,
+                             all(verdicts) if verdicts else None, layer_ok, classes))
     return rows
 
 

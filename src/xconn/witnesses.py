@@ -48,22 +48,18 @@ class WitnessSpec:
     predicted_size: int
 
 
-def block_constructible(params: FamilyParams) -> bool:
-    """The block cut is only asserted when its term is strictly minimal."""
-    terms = dict(formula_terms(params))
-    return terms["block"] < min(terms["layers1"], terms["layers2"])
-
-
 def plan_witness(params: FamilyParams, which: str) -> WitnessSpec:
     if which not in WITNESS_KINDS:
         raise ValueError(f"unknown witness kind {which!r}")
     if not guard(params):
         raise DomainError(f"g={params.g} out of guard for {params.family} "
                           f"(m={params.m}, n={params.n})")
-    if which == "block" and not block_constructible(params):
+    terms = formula_terms(params)
+    # the block cut is only asserted when its term is strictly minimal
+    if which == "block" and terms["block"] >= min(terms["layers1"], terms["layers2"]):
         raise WitnessError("block term is not strictly minimal; "
                            "the block cut is not asserted here")
-    return WitnessSpec(params, which, dict(formula_terms(params))[which])
+    return WitnessSpec(params, which, terms[which])
 
 
 def _place(size: int, cycle: int, length: int) -> range | None:

@@ -2,6 +2,7 @@ import json
 from collections import Counter
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,6 +106,41 @@ def test_cartesian_edges_subset_of_strong(g1, g2):
     strong = set(strong_product(g1, g2).graph.edges)
     cart = set(cartesian_product(g1, g2).graph.edges)
     assert cart <= strong
+
+
+def networkx_product(g1: Graph, g2: Graph, build) -> set[tuple[int, int]]:
+    """Edges of networkx's product of g1 and g2, with (i, j) relabelled i*n+j."""
+    def to_nx(g: Graph) -> nx.Graph:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        return h
+    n = g2.n
+    return {tuple(sorted((i1 * n + j1, i2 * n + j2)))
+            for (i1, j1), (i2, j2) in build(to_nx(g1), to_nx(g2)).edges}
+
+
+def check_products_match_networkx(g1: Graph, g2: Graph) -> None:
+    for ours, theirs in ((strong_product, nx.strong_product),
+                         (cartesian_product, nx.cartesian_product)):
+        pg = ours(g1, g2)
+        assert pg.graph.n == g1.n * g2.n
+        assert set(pg.graph.edges) == networkx_product(g1, g2, theirs), ours.__name__
+
+
+@given(connected_graphs(min_n=1, max_n=6), connected_graphs(min_n=1, max_n=6))
+@settings(max_examples=60)
+def test_products_match_networkx_on_random_factors(g1, g2):
+    check_products_match_networkx(g1, g2)
+
+
+path_or_cycle = st.one_of(st.integers(1, 7).map(make_path), st.integers(3, 7).map(make_cycle))
+
+
+@given(path_or_cycle, path_or_cycle)
+@settings(max_examples=60)
+def test_products_match_networkx_on_paths_and_cycles(g1, g2):
+    check_products_match_networkx(g1, g2)
 
 
 def test_layers():

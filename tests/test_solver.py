@@ -336,7 +336,7 @@ def test_classical_connectivity_known_values():
 
 @given(connected_graphs(min_n=2, max_n=10))
 @settings(max_examples=60, deadline=None)
-def test_classical_connectivity_cache_matches_a_fresh_solve(g):
+def test_classical_connectivity_matches_a_fresh_solve(g):
     fresh = kappa_extra_fragment(g, 0).value
     expected = g.n - 1 if fresh is INFINITY else fresh
     # an equal graph object, built separately, gets the same answer

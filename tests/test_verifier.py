@@ -221,6 +221,49 @@ def test_a_cell_repeats_the_same_searches(monkeypatch):
     assert runs[0] == runs[1] == [12]
 
 
+def record_calls(monkeypatch, module, names: tuple[str, ...]) -> dict[str, list]:
+    """Record the arguments of every call to each named attribute of
+    ``module`` from now on, with the call's result."""
+    calls: dict[str, list] = {name: [] for name in names}
+    for name in names:
+        def recorded(*args, _name=name, _call=getattr(module, name)):
+            result = _call(*args)
+            calls[_name].append((args, result))
+            return result
+        monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("family,m,n,gs", [
+    ("pxp", 3, 3, (0, 1, 2, 3, 5)),   # guard 2; g=3 and g=5 have no cut
+    ("pxp", 4, 5, None),              # a block witness at g=0
+    ("cxp", 6, 3, None),
+])
+def test_a_cell_makes_each_call_once_where_it_is_used(monkeypatch, family, m, n, gs):
+    calls = record_calls(monkeypatch, verifier, (
+        "build_witnesses", "validate_witness", "kappa_formula",
+        "fragment_solve_many", "min_cuts_grouped", "check_layer_bounds"))
+    rows = _evaluate_cell((family, m, n, SweepConfig(explicit_g=gs)))
+    assert [params.g for (params,), _ in calls["build_witnesses"]] == [r.g for r in rows]
+    built = [cut for _, cuts in calls["build_witnesses"] for cut in cuts.values()
+             if cut is not None]
+    assert [cut for (_, cut, _), _ in calls["validate_witness"]] == built
+    assert [params.g for (params,), _ in calls["kappa_formula"]] == \
+        [r.g for r in rows if r.in_guard]
+    assert len(calls["fragment_solve_many"]) == len(calls["min_cuts_grouped"]) == 1
+    assert [g for (_, _, g), _ in calls["check_layer_bounds"]] == \
+        [r.g for r in rows if r.oracle_value is not INFINITY]
+
+
+def test_agree_is_read_from_the_formula_and_oracle():
+    row = _evaluate_cell(("pxp", 3, 3, SweepConfig()))[0]
+    assert row.agree is True
+    assert dataclasses.replace(row, oracle_value=row.formula_value + 1).agree is False
+    assert dataclasses.replace(row, oracle_value=INFINITY).agree is False
+    assert dataclasses.replace(row, oracle_value=None).agree is None
+    assert dataclasses.replace(row, formula_value=None).agree is None
+
+
 def serial_pool(monkeypatch):
     """Replace the sweep's process pool with an in-process one that runs
     ``map`` serially and records its worker count and the cells it gets."""

@@ -6,9 +6,8 @@ from xconn.formulas import (FAMILY_MINS, DomainError, FamilyParams, ceil_div, ce
                             formula_terms, guard_limit)
 from xconn.products import family_product
 from xconn.solver import kappa_extra_fragment
-from xconn.witnesses import (WITNESS_KINDS, WitnessError, WitnessSpec, block_constructible,
-                             build_witness, build_witnesses, plan_witness,
-                             validate_witness)
+from xconn.witnesses import (WITNESS_KINDS, WitnessError, WitnessSpec, build_witness,
+                             build_witnesses, plan_witness, validate_witness)
 
 
 def coords(params, cut):
@@ -67,7 +66,6 @@ def test_block_witness_cxp_is_corner_neighbourhood():
 
 def test_block_refused_unless_strictly_minimal():
     params = FamilyParams("cxc", 4, 4, 0)  # block term 8 == min(2m, 2n)
-    assert not block_constructible(params)
     with pytest.raises(WitnessError):
         plan_witness(params, "block")
 
