@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from . import graph as graphmod
 from . import products as productsmod
@@ -183,7 +182,7 @@ def _resolve_product(args) -> ProductGraph:
 def cmd_classify_cut(args) -> int:
     pg = _resolve_product(args)
     cls = classify_cut(pg, _parse_cut(args.cut))
-    doc = {k: v for k, v in asdict(cls).items() if v is not None}
+    doc = {k: v for k, v in cls._asdict().items() if v is not None}
     _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 

@@ -23,8 +23,10 @@ with integer square roots, never floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
+
+from .graph import Record
 
 # whether factor 1 and factor 2 are cycles (1) or paths (0)
 CYCLES = {"pxp": (0, 0), "cxp": (1, 0), "cxc": (1, 1)}
@@ -66,21 +68,29 @@ def ceil_mul_sqrt(c: int, x: int) -> int:
     return ceil_sqrt(c * c * x)
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Record):
+    """One cell of a family's grid and one g; the orders and g must be
+    ``int`` (not ``bool``) and within the family's least orders."""
+
     family: str  # a key of CYCLES
     m: int
     n: int
     g: int
+    _fields = ("family", "m", "n", "g")
+    __slots__ = _fields
 
-    def __post_init__(self) -> None:
-        min_m, min_n = (3 + c for c in family_cycles(self.family))
-        if self.m < min_m or self.n < min_n:
+    def __init__(self, family: str, m: int, n: int, g: int) -> None:
+        min_m, min_n = (3 + c for c in family_cycles(family))
+        for name, value in (("m", m), ("n", n), ("g", g)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if m < min_m or n < min_n:
             raise ValueError(
-                f"family {self.family} needs m >= {min_m}, n >= {min_n}; "
-                f"got m={self.m}, n={self.n}")
-        if self.g < 0:
+                f"family {family} needs m >= {min_m}, n >= {min_n}; "
+                f"got m={m}, n={n}")
+        if g < 0:
             raise ValueError("g must be non-negative")
+        self._init(family, m, n, g)
 
 
 def guard_limit(family: str, m: int, n: int) -> int:
@@ -101,8 +111,7 @@ def formula_terms(params: FamilyParams) -> dict[str, int]:
     return dict(zip(TERMS, values))
 
 
-@dataclass(frozen=True)
-class FormulaResult:
+class FormulaResult(NamedTuple):
     value: int
     terms: tuple[tuple[str, int], ...]
     active_terms: tuple[str, ...]

@@ -3,18 +3,66 @@
 Graphs are immutable after construction and every operation here is a pure
 function, so values can be shared freely across parallel sweeps.  The only
 cache is ``Graph.masks``, built from the immutable adjacency on first use.
+
+``Record`` is the base of the package's validated records (``Graph`` here,
+``ProductGraph``, ``FamilyParams`` and ``ExtraConnResult`` elsewhere); the
+plain records are ``typing.NamedTuple`` classes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """An immutable record that checks its fields in ``__init__``.
+
+    A subclass names its constructor arguments, in order, in ``_fields`` and
+    stores them with ``_init``.  Records are equal and hash alike when their
+    ``_key`` values are, which are all the fields unless the subclass leaves
+    some out.  Pickling and ``copy`` go through the constructor, so every
+    copy passes the same checks.  Assigning or deleting a field raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _key(self) -> tuple:
+        return self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Graph(Record):
     """Immutable adjacency-list graph.
 
     ``adj[v]`` is the sorted tuple of neighbours of ``v``.  ``labels``, when
@@ -29,32 +77,43 @@ class Graph:
 
     n: int
     adj: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
-    automorphisms: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
+    labels: tuple[str, ...] | None
+    automorphisms: tuple[tuple[int, ...], ...]
+    _fields = ("n", "adj", "labels", "automorphisms")
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or len(self.adj) != self.n:
-            raise ValueError(f"adjacency length {len(self.adj)} != n={self.n}")
-        if self.labels is not None and len(self.labels) != self.n:
+    def __init__(self, n: int, adj: tuple[tuple[int, ...], ...],
+                 labels: tuple[str, ...] | None = None,
+                 automorphisms: tuple[tuple[int, ...], ...] = ()) -> None:
+        if type(n) is not int:
+            raise ValueError(f"n must be an integer, got {n!r}")
+        if n < 0 or len(adj) != n:
+            raise ValueError(f"adjacency length {len(adj)} != n={n}")
+        if labels is not None and len(labels) != n:
             raise ValueError("labels length mismatch")
-        for v, nbrs in enumerate(self.adj):
+        for v, nbrs in enumerate(adj):
+            if any(type(u) is not int for u in nbrs):
+                raise ValueError(f"adjacency of {v} holds a non-integer")
             if list(nbrs) != sorted(set(nbrs)):
                 raise ValueError(f"adjacency of {v} not sorted/duplicate-free")
             for u in nbrs:
-                if not 0 <= u < self.n:
+                if not 0 <= u < n:
                     raise ValueError(f"neighbour {u} of {v} out of range")
                 if u == v:
                     raise ValueError(f"self-loop at {v}")
-                if v not in self.adj[u]:
+                if v not in adj[u]:
                     raise ValueError(f"edge {v}-{u} not symmetric")
-        for p in self.automorphisms:
-            if len(p) != self.n or set(p) != set(range(self.n)):
+        for p in automorphisms:
+            if len(p) != n or set(p) != set(range(n)):
                 raise ValueError("declared automorphism is not a permutation of "
-                                 f"range({self.n})")
-            for v, nbrs in enumerate(self.adj):
-                if tuple(sorted(p[u] for u in nbrs)) != self.adj[p[v]]:
+                                 f"range({n})")
+            for v, nbrs in enumerate(adj):
+                if tuple(sorted(p[u] for u in nbrs)) != adj[p[v]]:
                     raise ValueError("declared permutation does not map the "
                                      f"neighbours of {v} onto those of {p[v]}")
+        self._init(n, adj, labels, automorphisms)
+
+    def _key(self) -> tuple:
+        return self.n, self.adj, self.labels
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -81,8 +140,12 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]],
                labels: Sequence[str] | None = None,
                automorphisms: Iterable[Sequence[int]] = ()) -> Graph:
     """Build a Graph from an edge list, deduplicating and sorting."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge ({u!r},{v!r}) has an end that is not an integer")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:

@@ -16,18 +16,16 @@ connected graphs is one of the two.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .formulas import FAMILIES, family_cycles  # FAMILIES is re-exported
-from .graph import (Graph, _check_vertex_set, components, induced_subgraph,
+from .graph import (Graph, Record, _check_vertex_set, components, induced_subgraph,
                     make_cycle, make_path, parse_json)
 from .graph import from_doc as graph_from_doc
 
 
-@dataclass(frozen=True)
-class ProductGraph:
+class ProductGraph(Record):
     """A product graph plus the factor metadata needed for layer queries.
 
     Each factor is recovered from its layer on first use and kept with the
@@ -38,12 +36,16 @@ class ProductGraph:
     m: int
     n: int
     kind: str  # "strong" | "cartesian"
+    _fields = ("graph", "m", "n", "kind")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("strong", "cartesian"):
-            raise ValueError(f"unknown product kind {self.kind!r}")
-        if self.graph.n != self.m * self.n:
+    def __init__(self, graph: Graph, m: int, n: int, kind: str) -> None:
+        if kind not in ("strong", "cartesian"):
+            raise ValueError(f"unknown product kind {kind!r}")
+        if type(m) is not int or type(n) is not int:
+            raise ValueError(f"factor orders must be integers, got m={m!r}, n={n!r}")
+        if graph.n != m * n:
             raise ValueError("vertex count does not match factor orders")
+        self._init(graph, m, n, kind)
 
     def id(self, i: int, j: int) -> int:
         if not (0 <= i < self.m and 0 <= j < self.n):
@@ -179,8 +181,7 @@ def make_l_set(pg: ProductGraph, s1: Iterable[int], a1: Iterable[int],
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class CutClassification:
+class CutClassification(NamedTuple):
     """Structure verdict for a product vertex cut, with a rebuild certificate."""
 
     verdict: str  # "i_set" | "l_set" | "neither"
@@ -271,7 +272,8 @@ def from_doc(doc: object) -> ProductGraph:
         raise ValueError("edge set inconsistent with declared product structure")
     if not declared:
         return pg
-    return ProductGraph(replace(graph, automorphisms=rebuilt.automorphisms), m, n, kind)
+    return ProductGraph(Graph(graph.n, graph.adj, graph.labels, rebuilt.automorphisms),
+                        m, n, kind)
 
 
 def render_coords(pg: ProductGraph, vertices: Iterable[int]) -> str:

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .graph import (Graph, is_complete, is_connected, mask_components, mask_to_tuple,
+from .graph import (Graph, Record, is_complete, is_connected, mask_components, mask_to_tuple,
                     min_degree, remaining_mask)
 from .products import ProductGraph
 
@@ -43,21 +42,20 @@ class InconclusiveError(Exception):
         self.checks_done = checks_done
 
 
-@dataclass(frozen=True)
-class CutVerdict:
+class CutVerdict(NamedTuple):
     is_cut: bool
     min_component_size: int
     is_g_extra: bool
     component_sizes: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class SolverStats:
+class SolverStats(NamedTuple):
     nodes: int
 
 
-@dataclass(frozen=True, slots=True)
-class ExtraConnResult:
+class ExtraConnResult(Record):
+    """A solver's answer: a finite witness must have ``value`` vertices."""
+
     extra: int
     value: int | float  # finite int or INFINITY
     witness: tuple[int, ...] | None
@@ -65,12 +63,16 @@ class ExtraConnResult:
     stats: SolverStats
     # every minimum cut in lexicographic order (fragment solver); None when
     # the solver stopped at its first cut
-    cuts: tuple[tuple[int, ...], ...] | None = None
+    cuts: tuple[tuple[int, ...], ...] | None
+    _fields = ("extra", "value", "witness", "solver", "stats", "cuts")
+    __slots__ = _fields
 
-    def __post_init__(self) -> None:
-        if self.value is not INFINITY and self.witness is not None:
-            if len(self.witness) != self.value:
-                raise ValueError("witness size does not match value")
+    def __init__(self, extra: int, value: int | float, witness: tuple[int, ...] | None,
+                 solver: str, stats: SolverStats,
+                 cuts: tuple[tuple[int, ...], ...] | None = None) -> None:
+        if value is not INFINITY and witness is not None and len(witness) != value:
+            raise ValueError("witness size does not match value")
+        self._init(extra, value, witness, solver, stats, cuts)
 
 
 def result_to_json_dict(res: ExtraConnResult) -> dict:
@@ -89,10 +91,10 @@ def check_g_extra_cut(graph: Graph, cut: Iterable[int], extra: int) -> CutVerdic
     vertex outside range(graph.n) raises ValueError."""
     if extra < 0:
         raise ValueError("extra must be non-negative")
-    s = frozenset(cut)
-    if len(s) >= graph.n:
+    rest = remaining_mask(graph, cut)
+    if not rest:
         raise ValueError("cut must leave at least one vertex")
-    sizes = tuple(size for _, size in mask_components(graph.masks, remaining_mask(graph, s)))
+    sizes = tuple(size for _, size in mask_components(graph.masks, rest))
     is_cut = len(sizes) >= 2
     mn = min(sizes)
     return CutVerdict(is_cut, mn, is_cut and mn >= extra + 1, sizes)

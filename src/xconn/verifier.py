@@ -11,8 +11,7 @@ contains no timing data, so identical configurations produce identical bytes.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .formulas import FAMILIES, FAMILY_MINS, FamilyParams, guard_limit, kappa_formula
 from .graph import Graph, min_degree
@@ -42,16 +41,14 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     families: tuple[str, ...] = FAMILIES
     m_range: tuple[int, int] | None = None   # None: family default grid
     n_range: tuple[int, int] | None = None
     explicit_g: tuple[int, ...] | None = None  # None: every in-guard g
 
 
-@dataclass(frozen=True, slots=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     family: str
     m: int
     n: int

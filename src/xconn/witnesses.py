@@ -26,8 +26,7 @@ that mismatch outside the verified grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .formulas import (CYCLES, TERMS, DomainError, FamilyParams, ceil_div, ceil_sqrt,
                        formula_terms, guard)
@@ -41,8 +40,7 @@ class WitnessError(ValueError):
     """Requested witness is not constructible for these parameters."""
 
 
-@dataclass(frozen=True)
-class WitnessSpec:
+class WitnessSpec(NamedTuple):
     params: FamilyParams
     which: str  # "layers1" | "layers2" | "block"
     predicted_size: int

@@ -60,6 +60,13 @@ def test_family_params_structural_validation():
         FamilyParams("pxp", 3, 3, -1)
 
 
+@pytest.mark.parametrize("m, n, g", [(3.5, 3, 0), (3, 3.0, 0), (3, 3, 1.5), (True, 3, 0),
+                                     (3, 3, False), (3, "3", 0)])
+def test_family_params_rejects_non_integers(m, n, g):
+    with pytest.raises(ValueError, match="must be an integer"):
+        FamilyParams("pxp", m, n, g)
+
+
 def test_small_cases():
     assert kappa_small_case("p1p", 7, 2) == 1       # 2 <= floor(6/2)-1
     assert kappa_small_case("p2p", 5, 3) == 2       # 3 <= 2*2-1

@@ -1,4 +1,3 @@
-import dataclasses
 
 import networkx as nx
 import pytest
@@ -90,6 +89,20 @@ def test_from_edges_rejects_bad_input():
         from_edges(3, [(1, 1)])
 
 
+@pytest.mark.parametrize("n, edges", [(3, [(0, 1.0)]), (3, [(0, True)]), (3, [("0", 1)]),
+                                      (3.0, [(0, 1)]), (True, [])])
+def test_from_edges_rejects_non_integers(n, edges):
+    with pytest.raises(ValueError, match="not an integer|must be an integer"):
+        from_edges(n, edges)
+
+
+def test_graph_rejects_non_integer_order_or_neighbours():
+    with pytest.raises(ValueError, match="must be an integer"):
+        Graph(0.0, ())
+    with pytest.raises(ValueError, match="non-integer"):
+        Graph(2, ((True,), (0,)))
+
+
 def test_json_round_trip():
     for g in (make_path(6), make_cycle(5), from_edges(4, [(0, 2), (1, 3)])):
         back = from_json(to_json(g))
@@ -145,9 +158,9 @@ def test_cached_masks_take_no_part_in_equality_hash_json_or_replace():
     assert vars(g)["masks"] is masks and g.masks is masks  # built once, then kept
     assert g == bare and "masks" not in vars(bare)
     assert (hash(g), to_json(g)) == before == (hash(bare), to_json(bare))
-    relabelled = dataclasses.replace(g, labels=None)
+    relabelled = Graph(g.n, g.adj, None, g.automorphisms)
     assert "masks" not in vars(relabelled) and relabelled.masks == masks
-    assert dataclasses.replace(g) == g
+    assert Graph(g.n, g.adj, g.labels, g.automorphisms) == g
     assert "masks" not in repr(g)
 
 

@@ -11,9 +11,9 @@ from strategies import connected_graphs
 from xconn.graph import (Graph, components, from_edges, induced_subgraph, is_complete,
                          make_cycle, make_path, min_degree)
 from xconn.graph import from_json as graph_from_json
-from xconn.products import (FAMILIES, cartesian_product, classify_cut, family_product,
-                            from_json, layer, make_i_set, make_l_set, render_coords,
-                            slice_of_set, strong_product, to_json)
+from xconn.products import (FAMILIES, ProductGraph, cartesian_product, classify_cut,
+                            family_product, from_json, layer, make_i_set, make_l_set,
+                            render_coords, slice_of_set, strong_product, to_json)
 from xconn.solver import enumerate_min_cuts, fragment_solve_many
 
 
@@ -355,6 +355,13 @@ def test_family_product_rejects_unknown_kind():
     for kind in ("Strong", "tensor", ""):
         with pytest.raises(ValueError):
             family_product("pxp", 3, 3, kind)
+
+
+@pytest.mark.parametrize("m, n", [(3.0, 3), (3, True)])
+def test_product_graph_rejects_non_integer_orders(m, n):
+    graph = family_product("pxp", 3, 3).graph
+    with pytest.raises(ValueError, match="factor orders must be integers"):
+        ProductGraph(graph, m, n, "strong")
 
 
 def test_render_coords_labelled_and_unlabelled():

@@ -1,4 +1,3 @@
-import dataclasses
 import time
 
 import networkx as nx
@@ -44,6 +43,12 @@ def test_check_g_extra_cut_rejects_out_of_range_vertices(vertex):
     # the cut's mask would silently drop a vertex >= n; it must raise instead
     with pytest.raises(ValueError, match=f"vertex {vertex} out of range"):
         check_g_extra_cut(make_path(5), {2, vertex}, 0)
+
+
+def test_check_g_extra_cut_names_an_out_of_range_vertex_of_a_large_cut():
+    # the range is checked before the cut's size
+    with pytest.raises(ValueError, match="vertex 99 out of range"):
+        check_g_extra_cut(make_cycle(4), [0, 1, 2, 99], 0)
 
 
 def test_subset_solver_examples():
@@ -246,7 +251,7 @@ def subset_values(g):
 def test_min_cuts_grouped_after_a_solve(a, b, solved, b_equals_a):
     # a solve leaves no state behind that could answer for another graph
     if b_equals_a:
-        b = dataclasses.replace(a)  # equal to a, but a distinct object
+        b = Graph(a.n, a.adj, a.labels, a.automorphisms)  # equal to a, but a distinct object
     fragment_solve_many(a, sorted(solved))
     for graph in (b, a):
         values = subset_values(graph)
@@ -340,7 +345,8 @@ def test_classical_connectivity_matches_a_fresh_solve(g):
     fresh = kappa_extra_fragment(g, 0).value
     expected = g.n - 1 if fresh is INFINITY else fresh
     # an equal graph object, built separately, gets the same answer
-    assert classical_connectivity(g) == classical_connectivity(dataclasses.replace(g)) == expected
+    twin = Graph(g.n, g.adj, g.labels, g.automorphisms)
+    assert classical_connectivity(g) == classical_connectivity(twin) == expected
 
 
 def relabelled(g, order):

@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import os
 import pickle
 import subprocess
@@ -14,7 +13,7 @@ from xconn import solver, verifier
 from xconn.cli import run
 from xconn.graph import make_cycle, make_path
 from xconn.products import classify_cut, family_product
-from xconn.solver import INFINITY, InconclusiveError, enumerate_min_cuts
+from xconn.solver import INFINITY, ExtraConnResult, InconclusiveError, enumerate_min_cuts
 from xconn.verifier import (SweepConfig, _evaluate_cell,
                             check_cartesian_connectivity, check_min_cut_classification,
                             report_failures, sweep, to_csv, to_json_dict)
@@ -132,9 +131,10 @@ def test_kept_records_have_no_instance_dict():
     # the process pool pickles rows
     for record in (row, res):
         assert pickle.loads(pickle.dumps(record)) == record
-    moved = dataclasses.replace(row, g=9)
+    moved = row._replace(g=9)
     assert (moved.g, row.g) == (9, 0) and moved.witness_sizes == row.witness_sizes
-    assert dataclasses.replace(res) == res
+    assert ExtraConnResult(res.extra, res.value, res.witness, res.solver, res.stats,
+                           res.cuts) == res
 
 
 def test_min_cut_classification_small_products():
@@ -258,10 +258,10 @@ def test_a_cell_makes_each_call_once_where_it_is_used(monkeypatch, family, m, n,
 def test_agree_is_read_from_the_formula_and_oracle():
     row = _evaluate_cell(("pxp", 3, 3, SweepConfig()))[0]
     assert row.agree is True
-    assert dataclasses.replace(row, oracle_value=row.formula_value + 1).agree is False
-    assert dataclasses.replace(row, oracle_value=INFINITY).agree is False
-    assert dataclasses.replace(row, oracle_value=None).agree is None
-    assert dataclasses.replace(row, formula_value=None).agree is None
+    assert row._replace(oracle_value=row.formula_value + 1).agree is False
+    assert row._replace(oracle_value=INFINITY).agree is False
+    assert row._replace(oracle_value=None).agree is None
+    assert row._replace(formula_value=None).agree is None
 
 
 def serial_pool(monkeypatch):
