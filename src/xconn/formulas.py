@@ -26,7 +26,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-from .graph import Record
+from .graph import Record, check_int
 
 # whether factor 1 and factor 2 are cycles (1) or paths (0)
 CYCLES = {"pxp": (0, 0), "cxp": (1, 0), "cxc": (1, 1)}
@@ -44,7 +44,7 @@ class DomainError(ValueError):
 
 def family_cycles(family: str) -> tuple[int, int]:
     """The (c1, c2) cycle flags of a family; ValueError for an unknown one."""
-    if family not in CYCLES:
+    if family not in FAMILIES:  # a tuple, so an unhashable family is unknown too
         raise ValueError(f"unknown family {family!r}")
     return CYCLES[family]
 
@@ -81,21 +81,19 @@ class FamilyParams(Record):
 
     def __init__(self, family: str, m: int, n: int, g: int) -> None:
         min_m, min_n = (3 + c for c in family_cycles(family))
-        for name, value in (("m", m), ("n", n), ("g", g)):
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if m < min_m or n < min_n:
+        if check_int(m, "m") < min_m or check_int(n, "n") < min_n:
             raise ValueError(
                 f"family {family} needs m >= {min_m}, n >= {min_n}; "
                 f"got m={m}, n={n}")
-        if g < 0:
-            raise ValueError("g must be non-negative")
+        check_int(g, "g", 0)
         self._init(family, m, n, g)
 
 
 def guard_limit(family: str, m: int, n: int) -> int:
     """Largest g for which the family's closed form is asserted."""
     c1, c2 = family_cycles(family)
+    check_int(m, "m")
+    check_int(n, "n")
     return min(n * ((m - 1 - c1) // 2) - 1, m * ((n - 1 - c2) // 2) - 1)
 
 
@@ -131,10 +129,12 @@ def kappa_formula(params: FamilyParams) -> FormulaResult:
 
 
 def small_case_limit(which: str, n: int) -> int:
-    """Largest g for which the degenerate-family value is asserted."""
+    """Largest g for which the degenerate-family value is asserted; n must
+    be at least 1 for a path and 3 for a cycle."""
     if which not in SMALL_CASES:
         raise ValueError(f"unknown small case {which!r}")
     k, c = SMALL_CASES[which]
+    check_int(n, f"n of {which}", 1 + 2 * c)
     return k * ((n - 1 - c) // 2) - 1
 
 
@@ -142,43 +142,31 @@ def kappa_small_case(which: str, n: int, g: int) -> int:
     """kappa_g for the families below the main theorems' order thresholds:
     P1 x Pn -> 1, P2 x Pn -> 2, C3 x Pn -> 3, C3 x Cn -> 6, that is k(1+c)
     for g <= k*floor((n-1-c)/2) - 1 with (k, c) from ``SMALL_CASES``."""
-    if g < 0:
-        raise ValueError("g must be non-negative")
+    check_int(g, "g", 0)
     limit = small_case_limit(which, n)
-    k, c = SMALL_CASES[which]
-    if n < 1 + 2 * c:
-        raise ValueError(f"small case {which} needs n >= {1 + 2 * c}")
     if g > limit:
         raise DomainError(f"g={g} exceeds the stated bound {limit} for {which} with n={n}")
+    k, c = SMALL_CASES[which]
     return k * (1 + c)
 
 
 def kappa_closed_form(family: str, m: int, n: int, g: int) -> int:
     """Closed-form kappa_g for any covered family instance, routing orders
     below the main-theorem thresholds to their small-case values."""
+    for order, cycle in zip((m, n), family_cycles(family)):
+        check_int(order, "cycle order" if cycle else "path order", 1 + 2 * cycle)
     if family == "pxp":
         lo, hi = min(m, n), max(m, n)
-        if lo < 1:
-            raise ValueError("path order must be >= 1")
-        if lo == 1:
-            return kappa_small_case("p1p", hi, g)
-        if lo == 2:
-            return kappa_small_case("p2p", hi, g)
+        if lo <= 2:
+            return kappa_small_case(f"p{lo}p", hi, g)
     elif family == "cxp":
-        if m < 3:
-            raise ValueError("cycle order must be >= 3")
         if m == 3:
             return kappa_small_case("c3p", n, g)
-        if n < 1:
-            raise ValueError("path order must be >= 1")
         if n < 3:
             raise DomainError(f"C_m x P_n with n={n} < 3 has no asserted closed form")
-    elif family == "cxc":
-        if min(m, n) < 3:
-            raise ValueError("cycle order must be >= 3")
-        if min(m, n) == 3:
-            return kappa_small_case("c3c", max(m, n), g)
-    return kappa_formula(FamilyParams(family, m, n, g)).value  # an unknown family raises
+    elif min(m, n) == 3:  # cxc
+        return kappa_small_case("c3c", max(m, n), g)
+    return kappa_formula(FamilyParams(family, m, n, g)).value
 
 
 IDENTITY_KINDS = ("path_path", "cycle_path", "cycle_cycle")
@@ -195,8 +183,7 @@ def ceiling_identity(kind: str, g: int) -> bool:
     fails whenever 2*ceil(2*sqrt(x)) > ceil(4*sqrt(x)) (first at g=2), which
     is why callers must treat a False return as meaningful, not as a bug here.
     """
-    if g < 0:
-        raise ValueError("g must be non-negative")
+    check_int(g, "g", 0)
     if kind not in IDENTITY_KINDS:
         raise ValueError(f"unknown identity kind {kind!r}")
     x = g + 1

@@ -16,6 +16,18 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 
+def check_int(value: object, name: str, least: int | None = None) -> int:
+    """``value`` if it is an ``int``, not a ``bool``, of at least ``least`` when
+    given; else ValueError naming ``name``.  The one check of every order, g,
+    vertex, budget and count a caller passes in."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} {value} is negative" if least == 0
+                         else f"{name} must be at least {least}, got {value}")
+    return value
+
+
 class Record:
     """An immutable record that checks its fields in ``__init__``.
 
@@ -84,9 +96,7 @@ class Graph(Record):
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...],
                  labels: tuple[str, ...] | None = None,
                  automorphisms: tuple[tuple[int, ...], ...] = ()) -> None:
-        if type(n) is not int:
-            raise ValueError(f"n must be an integer, got {n!r}")
-        if n < 0 or len(adj) != n:
+        if len(adj) != check_int(n, "n", 0):
             raise ValueError(f"adjacency length {len(adj)} != n={n}")
         if labels is not None and len(labels) != n:
             raise ValueError("labels length mismatch")
@@ -140,9 +150,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]],
                labels: Sequence[str] | None = None,
                automorphisms: Iterable[Sequence[int]] = ()) -> Graph:
     """Build a Graph from an edge list, deduplicating and sorting."""
-    if type(n) is not int:
-        raise ValueError(f"n must be an integer, got {n!r}")
-    nbrs: list[set[int]] = [set() for _ in range(n)]
+    nbrs: list[set[int]] = [set() for _ in range(check_int(n, "n", 0))]
     for u, v in edges:
         if type(u) is not int or type(v) is not int:
             raise ValueError(f"edge ({u!r},{v!r}) has an end that is not an integer")
@@ -162,8 +170,7 @@ def make_path(n: int, letter: str = "x") -> Graph:
 
     Declares its reversal i -> n-1-i as an automorphism.
     """
-    if n < 1:
-        raise ValueError(f"path order must be >= 1, got {n}")
+    check_int(n, "path order", 1)
     labels = tuple(f"{letter}{i + 1}" for i in range(n))
     reversal = tuple(range(n - 1, -1, -1))
     return from_edges(n, [(i, i + 1) for i in range(n - 1)], labels, [reversal])
@@ -175,8 +182,7 @@ def make_cycle(n: int, letter: str = "x") -> Graph:
     Declares the rotation i -> i+1 and the reflection i -> -i (mod n), which
     generate its whole automorphism group.
     """
-    if n < 3:
-        raise ValueError(f"cycle order must be >= 3, got {n}")
+    check_int(n, "cycle order", 3)
     labels = tuple(f"{letter}{i}" for i in range(n))
     rotation = tuple((i + 1) % n for i in range(n))
     reflection = tuple(-i % n for i in range(n))
@@ -185,7 +191,8 @@ def make_cycle(n: int, letter: str = "x") -> Graph:
 
 
 def _check_vertex_set(g: Graph, vs: Iterable[int]) -> frozenset[int]:
-    s = frozenset(vs)
+    """``vs`` as a set, once each member is an ``int`` vertex of ``g``."""
+    s = frozenset(check_int(v, "vertex") for v in vs)
     for v in s:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for graph of order {g.n}")

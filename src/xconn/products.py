@@ -20,8 +20,8 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .formulas import FAMILIES, family_cycles  # FAMILIES is re-exported
-from .graph import (Graph, Record, _check_vertex_set, components, induced_subgraph,
-                    make_cycle, make_path, parse_json)
+from .graph import (Graph, Record, _check_vertex_set, check_int, components,
+                    induced_subgraph, make_cycle, make_path, parse_json)
 from .graph import from_doc as graph_from_doc
 
 
@@ -41,9 +41,11 @@ class ProductGraph(Record):
     def __init__(self, graph: Graph, m: int, n: int, kind: str) -> None:
         if kind not in ("strong", "cartesian"):
             raise ValueError(f"unknown product kind {kind!r}")
-        if type(m) is not int or type(n) is not int:
-            raise ValueError(f"factor orders must be integers, got m={m!r}, n={n!r}")
-        if graph.n != m * n:
+        try:
+            order = check_int(m, "m", 1) * check_int(n, "n", 1)
+        except ValueError as exc:
+            raise ValueError(f"factor orders must be integers of at least 1: {exc}") from None
+        if graph.n != order:
             raise ValueError("vertex count does not match factor orders")
         self._init(graph, m, n, kind)
 
@@ -126,6 +128,7 @@ def layer(pg: ProductGraph, axis: str, index: int) -> tuple[int, ...]:
     axis='factor1' gives a copy of factor 1 at a fixed factor-2 vertex;
     axis='factor2' a copy of factor 2 at a fixed factor-1 vertex.
     """
+    check_int(index, "layer index")
     if axis == "factor1":
         if not 0 <= index < pg.n:
             raise ValueError(f"layer index {index} out of range")
@@ -151,23 +154,23 @@ def _is_vertex_cut(factor: Graph, cut: frozenset[int]) -> bool:
 
 def make_i_set(pg: ProductGraph, factor_cut: Iterable[int], axis: str) -> tuple[int, ...]:
     """S1 x V2 (axis='factor1') or V1 x S2 (axis='factor2') for a factor vertex cut."""
-    cut = frozenset(factor_cut)
+    if axis not in ("factor1", "factor2"):
+        raise ValueError(f"axis must be 'factor1' or 'factor2', got {axis!r}")
+    factor = pg.factor1 if axis == "factor1" else pg.factor2
+    cut = _check_vertex_set(factor, factor_cut)
+    if not _is_vertex_cut(factor, cut):
+        raise ValueError(f"factor {axis[-1]} set is not a vertex cut of factor {axis[-1]}")
     if axis == "factor1":
-        if not _is_vertex_cut(pg.factor1, cut):
-            raise ValueError("factor 1 set is not a vertex cut of factor 1")
         return tuple(sorted(pg.id(i, j) for i in cut for j in range(pg.n)))
-    if axis == "factor2":
-        if not _is_vertex_cut(pg.factor2, cut):
-            raise ValueError("factor 2 set is not a vertex cut of factor 2")
-        return tuple(sorted(pg.id(i, j) for i in range(pg.m) for j in cut))
-    raise ValueError(f"axis must be 'factor1' or 'factor2', got {axis!r}")
+    return tuple(sorted(pg.id(i, j) for i in range(pg.m) for j in cut))
 
 
 def make_l_set(pg: ProductGraph, s1: Iterable[int], a1: Iterable[int],
                s2: Iterable[int], a2: Iterable[int]) -> tuple[int, ...]:
     """(S1 x A2) u (S1 x S2) u (A1 x S2) with A_i a component of factor_i - S_i."""
     f1, f2 = pg.factor1, pg.factor2
-    s1, a1, s2, a2 = frozenset(s1), frozenset(a1), frozenset(s2), frozenset(a2)
+    s1, a1 = _check_vertex_set(f1, s1), _check_vertex_set(f1, a1)
+    s2, a2 = _check_vertex_set(f2, s2), _check_vertex_set(f2, a2)
     if not _is_vertex_cut(f1, s1):
         raise ValueError("S1 is not a vertex cut of factor 1")
     if not _is_vertex_cut(f2, s2):

@@ -26,8 +26,8 @@ import sys
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from .graph import (Graph, Record, is_complete, is_connected, mask_components, mask_to_tuple,
-                    min_degree, remaining_mask)
+from .graph import (Graph, Record, check_int, is_complete, is_connected, mask_components,
+                    mask_to_tuple, min_degree, remaining_mask)
 from .products import ProductGraph
 
 INFINITY = math.inf
@@ -70,6 +70,7 @@ class ExtraConnResult(Record):
     def __init__(self, extra: int, value: int | float, witness: tuple[int, ...] | None,
                  solver: str, stats: SolverStats,
                  cuts: tuple[tuple[int, ...], ...] | None = None) -> None:
+        check_int(extra, "extra", 0)
         if value is not INFINITY and witness is not None and len(witness) != value:
             raise ValueError("witness size does not match value")
         self._init(extra, value, witness, solver, stats, cuts)
@@ -89,8 +90,7 @@ def check_g_extra_cut(graph: Graph, cut: Iterable[int], extra: int) -> CutVerdic
     """Judge whether ``cut`` is a g-extra cut: removal disconnects the graph
     and every remaining component keeps at least extra+1 vertices.  A cut
     vertex outside range(graph.n) raises ValueError."""
-    if extra < 0:
-        raise ValueError("extra must be non-negative")
+    check_int(extra, "extra", 0)
     rest = remaining_mask(graph, cut)
     if not rest:
         raise ValueError("cut must leave at least one vertex")
@@ -101,8 +101,7 @@ def check_g_extra_cut(graph: Graph, cut: Iterable[int], extra: int) -> CutVerdic
 
 
 def _validate_solver_input(graph: Graph, extra: int) -> None:
-    if extra < 0:
-        raise ValueError("extra must be non-negative")
+    check_int(extra, "extra", 0)
     if graph.n < 2:
         raise ValueError("g-extra connectivity needs at least two vertices")
     if not is_connected(graph):
@@ -118,8 +117,6 @@ def _subset_scan(graph: Graph, extra: int, budget: int,
     the checks made, before starting a cardinality whose C(n, k) subsets
     would take the total past ``budget``.  The caller validates the input.
     """
-    if budget < 0:
-        raise ValueError(f"subset budget {budget} is negative")
     masks = graph.masks
     full = (1 << graph.n) - 1
     checks = 0
@@ -151,6 +148,7 @@ def kappa_extra_subset(graph: Graph, extra: int, budget: int = SUBSET_BUDGET) ->
     returned value is always exact.
     """
     _validate_solver_input(graph, extra)
+    check_int(budget, "subset budget", 0)
     cuts, checks = _subset_scan(graph, extra, budget, first_only=True)
     witness = cuts[0] if cuts else None
     value = len(witness) if cuts else INFINITY
@@ -355,16 +353,16 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
     ids once and sorted, so values, witnesses and cut lists do not depend
     on the order, only node counts do.
     """
-    extras = sorted(set(extras))
+    extras = sorted({check_int(g, "extra", 0) for g in extras})
     if not extras:
         return {}
-    _validate_solver_input(graph, extras[0])  # the smallest g is the one that can be negative
+    _validate_solver_input(graph, extras[0])
     # the copy's vertex i is the graph's vertex order[i]; the graph's v is pos[v]
     order = sorted(range(graph.n), key=graph.degree)
     pos = {v: i for i, v in enumerate(order)}
     masks = [sum(1 << pos[u] for u in graph.adj[v]) for v in order]
     autos = [tuple(pos[p[v]] for v in order) for p in graph.automorphisms]
-    seeds = dict(upper_bounds or {})
+    seeds = {g: check_int(bound, "upper bound", 0) for g, bound in (upper_bounds or {}).items()}
     ties, nodes = _fragment_search(masks, graph.n, extras, seeds, automorphisms=autos)
     retry = [g for g in extras if not ties[g] and g in seeds]
     if retry:
@@ -403,11 +401,14 @@ def enumerate_min_cuts(graph: Graph, extra: int, known_value: int | float | None
     cardinality holding a cut is not ``known_value``.
     """
     _validate_solver_input(graph, extra)
+    check_int(max_checks, "subset budget", 0)
     if known_value is not None:
-        # every cardinality up to known_value; a negative budget is the scan's ValueError
+        if known_value != INFINITY:
+            check_int(known_value, "known value", 0)
+        # every cardinality up to known_value
         last = min(known_value, graph.n - 2 * (extra + 1))
         need = sum(math.comb(graph.n, k) for k in range(1, last + 1))
-        if 0 <= max_checks < need:
+        if max_checks < need:
             raise InconclusiveError(f"{need} subsets of up to {last} vertices exceed "
                                     f"subset budget {max_checks}", 0)
     cuts, _ = _subset_scan(graph, extra, max_checks, first_only=False)
@@ -454,7 +455,8 @@ def check_layer_bounds(pg: ProductGraph, cuts: Iterable[Iterable[int]], extra: i
     are the product's own, recovered once per product.  Minimality is the
     caller's responsibility; a cut that is not a g-extra cut raises ValueError.
     """
-    cuts = [frozenset(cut) for cut in cuts]
+    check_int(extra, "extra", 0)
+    cuts = [tuple(cut) for cut in cuts]
     if not all(check_g_extra_cut(pg.graph, cut, extra).is_g_extra for cut in cuts):
         raise ValueError("set is not a g-extra cut of the product")
     k1 = classical_connectivity(pg.factor1)
@@ -463,7 +465,7 @@ def check_layer_bounds(pg: ProductGraph, cuts: Iterable[Iterable[int]], extra: i
         # a row i is the slice inside the factor-2 layer at x_i: bound kappa(G2);
         # a column j is the slice inside the factor-1 layer at y_j: bound kappa(G1)
         rows, cols = [0] * pg.m, [0] * pg.n
-        for v in cut:  # in range: checked above
+        for v in set(cut):  # in range: checked above
             i, j = divmod(v, pg.n)
             rows[i] += 1
             cols[j] += 1

@@ -14,7 +14,7 @@ import sys
 from typing import Iterable, NamedTuple
 
 from .formulas import FAMILIES, FAMILY_MINS, FamilyParams, guard_limit, kappa_formula
-from .graph import Graph, min_degree
+from .graph import Graph, check_int, min_degree
 from .products import ProductGraph, cartesian_product, classify_cut, family_product
 from .solver import (INFINITY, ExtraConnResult, InconclusiveError, check_layer_bounds,
                      classical_connectivity, fragment_solve_many, kappa_extra_fragment,
@@ -131,7 +131,8 @@ def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> tuple[SweepR
 
     Each named family runs once, in ``FAMILIES`` order.  A thread count
     below 1, an unknown family, a grid with no cell (a reversed range
-    selects none) or an empty ``explicit_g`` raises ValueError.
+    selects none), an empty ``explicit_g``, or a thread count, range end or
+    g that is not an ``int`` raises ValueError.
     Cells are built in report order (family, m, n, g sorted within a cell).
     With more than one thread they are dispatched largest first (by m*n,
     ties in report order), so the costliest cell does not start last, and
@@ -140,14 +141,18 @@ def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> tuple[SweepR
 
     Raises ``InconclusiveError``, with the pool's message, when a worker
     process of a pooled sweep dies."""
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    check_int(threads, "threads", 1)
     for family in config.families:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
+    for name in ("m_range", "n_range"):
+        for end in getattr(config, name) or ():
+            check_int(end, name)
     if config.explicit_g is not None and not config.explicit_g:
         raise ValueError(f"explicit_g {config.explicit_g!r} selects no g; "
                          "None selects every in-guard g")
+    for g in config.explicit_g or ():
+        check_int(g, "g", 0)
     cells = [(family, m, n, config)
              for family in FAMILIES if family in config.families
              for m, n in _cell_grid(config, family)]

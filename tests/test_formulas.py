@@ -67,6 +67,29 @@ def test_family_params_rejects_non_integers(m, n, g):
         FamilyParams("pxp", m, n, g)
 
 
+@pytest.mark.parametrize("call, args", [
+    (kappa_small_case, ("p1p", 5, 0.5)),
+    (kappa_closed_form, ("pxp", 1, 5, 0.5)),
+    (kappa_small_case, ("p2p", 5.5, 0)),
+    (kappa_small_case, ("c3p", 5, True)),
+    (small_case_limit, ("c3c", 4.0)),
+    (kappa_closed_form, ("cxp", 3, "5", 0)),
+    (kappa_closed_form, ("cxc", 3.0, 6, 0)),
+])
+def test_small_cases_reject_non_integers(call, args):
+    # the small-case route once answered these (1, 1 and 2 for the first three)
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(*args)
+
+
+@pytest.mark.parametrize("call, args", [(FamilyParams, (["pxp"], 3, 3, 0)),
+                                        (guard_limit, (["pxp"], 3, 3)),
+                                        (kappa_closed_form, ({"pxp"}, 3, 3, 0))])
+def test_an_unhashable_family_is_unknown(call, args):
+    with pytest.raises(ValueError, match=r"^unknown family \S+$"):
+        call(*args)
+
+
 def test_small_cases():
     assert kappa_small_case("p1p", 7, 2) == 1       # 2 <= floor(6/2)-1
     assert kappa_small_case("p2p", 5, 3) == 2       # 3 <= 2*2-1

@@ -51,6 +51,27 @@ def test_check_g_extra_cut_names_an_out_of_range_vertex_of_a_large_cut():
         check_g_extra_cut(make_cycle(4), [0, 1, 2, 99], 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: kappa_extra_fragment(make_path(4), 0.5),
+    lambda: check_g_extra_cut(make_path(4), [True], 0),
+    lambda: check_g_extra_cut(make_path(4), [1.0], 0),
+    lambda: check_g_extra_cut(make_path(4), [[1]], 0),
+    lambda: fragment_solve_many(make_path(4), [0, 1.0]),
+    lambda: fragment_solve_many(make_path(4), [0], {0: 1.5}),
+    lambda: fragment_solve_many(make_path(4), [0], {0: True}),
+    lambda: kappa_extra_subset(make_path(4), True),
+    lambda: kappa_extra_subset(make_path(4), 0, budget=10.0 ** 3),
+    lambda: enumerate_min_cuts(make_path(4), 0, 1, max_checks=0.5),
+    lambda: enumerate_min_cuts(make_path(4), "0"),
+    lambda: enumerate_min_cuts(make_path(4), 0, 1.0),
+    lambda: check_layer_bounds(family_product("pxp", 3, 3), [], 0.5),
+])
+def test_solver_inputs_must_be_integers(call):
+    # kappa_extra_fragment(P4, 0.5) once answered infinity, and [True] cut vertex 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
 def test_subset_solver_examples():
     k4 = family_product("pxp", 2, 2).graph
     assert kappa_extra_subset(k4, 0).value is INFINITY

@@ -11,6 +11,7 @@ import pytest
 import xconn
 from xconn import solver, verifier
 from xconn.cli import run
+from xconn.formulas import guard_limit
 from xconn.graph import make_cycle, make_path
 from xconn.products import classify_cut, family_product
 from xconn.solver import INFINITY, ExtraConnResult, InconclusiveError, enumerate_min_cuts
@@ -98,6 +99,27 @@ def test_sweep_rejects_an_empty_explicit_g():
 def test_sweep_rejects_a_thread_count_below_one(threads):
     with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
         sweep(SMALL, threads=threads)
+
+
+@pytest.mark.parametrize("threads", [3.0, True, "2", None])
+def test_sweep_rejects_a_thread_count_that_is_not_an_int(threads):
+    with pytest.raises(ValueError, match=f"threads must be an integer, got {threads!r}"):
+        sweep(SMALL, threads=threads)
+
+
+@pytest.mark.parametrize("config", [SMALL._replace(m_range=(3, 3.5)),
+                                    SMALL._replace(n_range=(3.0, 3)),
+                                    SMALL._replace(m_range=(True, 3)),
+                                    SMALL._replace(explicit_g=(0, 0.5))])
+def test_sweep_rejects_grid_ends_and_g_that_are_not_ints(config):
+    with pytest.raises(ValueError, match="must be an integer"):
+        sweep(config)
+
+
+def test_guard_limit_rejects_a_non_integer_order():
+    # it once returned 2.0
+    with pytest.raises(ValueError, match="m must be an integer, got 3.5"):
+        guard_limit("pxp", 3.5, 3)
 
 
 def test_sweep_explicit_g_records_out_of_guard_observationally():
