@@ -131,7 +131,7 @@ def kappa_formula(params: FamilyParams) -> FormulaResult:
 def small_case_limit(which: str, n: int) -> int:
     """Largest g for which the degenerate-family value is asserted; n must
     be at least 1 for a path and 3 for a cycle."""
-    if which not in SMALL_CASES:
+    if which not in tuple(SMALL_CASES):  # a tuple, so an unhashable name is unknown too
         raise ValueError(f"unknown small case {which!r}")
     k, c = SMALL_CASES[which]
     check_int(n, f"n of {which}", 1 + 2 * c)

@@ -119,6 +119,7 @@ def _subset_scan(graph: Graph, extra: int, budget: int,
     """
     masks = graph.masks
     full = (1 << graph.n) - 1
+    bits = [1 << v for v in range(graph.n)]
     checks = 0
     # a cut must leave two components of size >= extra+1
     for k in range(1, graph.n - 2 * (extra + 1) + 1):
@@ -126,14 +127,12 @@ def _subset_scan(graph: Graph, extra: int, budget: int,
             raise InconclusiveError(f"C({graph.n}, {k}) subsets after {checks} checks "
                                     f"exceed subset budget {budget}", checks)
         cuts = []
-        for combo in combinations(range(graph.n), k):
+        for combo in combinations(bits, k):
             checks += 1
-            cut = 0
-            for v in combo:
-                cut |= 1 << v
-            comps = mask_components(masks, full & ~cut)
+            cut = sum(combo)
+            comps = mask_components(masks, full - cut)
             if len(comps) >= 2 and all(size > extra for _, size in comps):
-                cuts.append(combo)
+                cuts.append(mask_to_tuple(cut))
                 if first_only:
                     break
         if cuts:
@@ -162,9 +161,7 @@ def _close_under(cuts: set[int], automorphisms: Sequence[Sequence[int]]) -> set[
     while frontier:
         mask = frontier.pop()
         for p in automorphisms:
-            image = 0
-            for v in mask_to_tuple(mask):
-                image |= 1 << p[v]
+            image = sum(1 << p[v] for v in mask_to_tuple(mask))
             if image not in closed:
                 closed.add(image)
                 frontier.append(image)

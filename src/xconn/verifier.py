@@ -70,9 +70,8 @@ class SweepRow(NamedTuple):
 
 
 def _cell_grid(config: SweepConfig, family: str) -> list[tuple[int, int]]:
-    (dm, dn) = DEFAULT_GRIDS[family]
-    m_lo, m_hi = config.m_range or dm
-    n_lo, n_hi = config.n_range or dn
+    m_lo, m_hi = config.m_range or DEFAULT_GRIDS[family][0]
+    n_lo, n_hi = config.n_range or DEFAULT_GRIDS[family][1]
     min_m, min_n = FAMILY_MINS[family]
     return [(m, n)
             for m in range(max(m_lo, min_m), m_hi + 1)
@@ -130,9 +129,9 @@ def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> tuple[SweepR
     independent and may run in parallel.
 
     Each named family runs once, in ``FAMILIES`` order.  A thread count
-    below 1, an unknown family, a grid with no cell (a reversed range
-    selects none), an empty ``explicit_g``, or a thread count, range end or
-    g that is not an ``int`` raises ValueError.
+    below 1, an unknown family, a range not None or a pair, a grid with no
+    cell (a reversed range selects none), an empty ``explicit_g``, or a
+    thread count, range end or g that is not an ``int`` raises ValueError.
     Cells are built in report order (family, m, n, g sorted within a cell).
     With more than one thread they are dispatched largest first (by m*n,
     ties in report order), so the costliest cell does not start last, and
@@ -146,7 +145,10 @@ def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> tuple[SweepR
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
     for name in ("m_range", "n_range"):
-        for end in getattr(config, name) or ():
+        ends = getattr(config, name)
+        if ends is not None and (not isinstance(ends, (tuple, list)) or len(ends) != 2):
+            raise ValueError(f"{name} must be None or a pair (lo, hi), got {ends!r}")
+        for end in ends or ():
             check_int(end, name)
     if config.explicit_g is not None and not config.explicit_g:
         raise ValueError(f"explicit_g {config.explicit_g!r} selects no g; "

@@ -90,6 +90,14 @@ def test_an_unhashable_family_is_unknown(call, args):
         call(*args)
 
 
+@pytest.mark.parametrize("call, args", [(kappa_small_case, (["p1p"], 5, 0)),
+                                        (small_case_limit, ({"p2p"}, 5)),
+                                        (kappa_small_case, ("p9p", 5, 0))])
+def test_an_unhashable_or_misspelt_small_case_is_unknown(call, args):
+    with pytest.raises(ValueError, match=r"^unknown small case \S+$"):
+        call(*args)
+
+
 def test_small_cases():
     assert kappa_small_case("p1p", 7, 2) == 1       # 2 <= floor(6/2)-1
     assert kappa_small_case("p2p", 5, 3) == 2       # 3 <= 2*2-1

@@ -167,6 +167,30 @@ def test_subset_solver_answer_and_check_count(graph, extra, value, witness, chec
     assert (cuts[0] if cuts else None) == res.witness
 
 
+@pytest.mark.parametrize("family, m, n, extra, value, witness, checks", [
+    ("pxp", 4, 4, 1, 4, (1, 5, 6, 7), 1351),
+    ("cxc", 4, 4, 0, 8, (0, 1, 2, 3, 8, 9, 10, 11), 26758),
+    ("cxp", 4, 3, 2, 4, (1, 4, 7, 10), 541),
+])
+def test_subset_oracle_pinned_on_products(family, m, n, extra, value, witness, checks):
+    # the scan's order fixes the witness and the check count
+    res = kappa_extra_subset(family_product(family, m, n).graph, extra)
+    assert (res.value, res.witness, res.stats.nodes) == (value, witness, checks)
+
+
+def test_subset_oracle_pinned_cut_list_and_refusal():
+    g = family_product("pxp", 4, 4).graph
+    assert enumerate_min_cuts(g, 1) == [
+        (1, 5, 6, 7), (1, 5, 8, 9), (1, 5, 9, 13), (2, 4, 5, 6), (2, 6, 10, 11), (2, 6, 10, 14),
+        (4, 5, 6, 7), (4, 5, 9, 13), (6, 7, 10, 14), (8, 9, 10, 11), (8, 9, 10, 14),
+        (9, 10, 11, 13)]
+    # 16 singletons fit the budget; the C(16, 2) pairs would not, so none is checked
+    with pytest.raises(InconclusiveError, match=r"^C\(16, 2\) subsets after 16 checks "
+                                                r"exceed subset budget 100$") as exc:
+        kappa_extra_subset(g, 1, budget=100)
+    assert exc.value.checks_done == 16
+
+
 @given(connected_graphs(min_n=2, max_n=8), st.integers(0, 2))
 @settings(max_examples=60, deadline=None)
 def test_subset_solver_returns_the_first_enumerated_min_cut(g, extra):

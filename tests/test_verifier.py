@@ -116,6 +116,24 @@ def test_sweep_rejects_grid_ends_and_g_that_are_not_ints(config):
         sweep(config)
 
 
+@pytest.mark.parametrize("name, config", [
+    ("m_range", SweepConfig(("pxp",), 3, (3, 3))),
+    ("m_range", SweepConfig(("pxp",), (3, 4, 5))),
+    ("n_range", SMALL._replace(n_range=(3,))),
+    ("m_range", SMALL._replace(m_range=())),
+    ("n_range", SMALL._replace(n_range="34")),
+])
+def test_sweep_rejects_a_range_that_is_not_a_pair(name, config):
+    # a non-pair once raised a raw TypeError or "too many values to unpack"
+    with pytest.raises(ValueError, match=f"^{name} must be None or a pair"):
+        sweep(config)
+
+
+def test_sweep_takes_a_list_pair_as_a_range():
+    one_cell = SweepConfig(("pxp",), (3, 3), (3, 3))
+    assert sweep(one_cell._replace(m_range=[3, 3], n_range=[3, 3])) == sweep(one_cell)
+
+
 def test_guard_limit_rejects_a_non_integer_order():
     # it once returned 2.0
     with pytest.raises(ValueError, match="m must be an integer, got 3.5"):
