@@ -115,7 +115,10 @@ def cmd_product(args) -> int:
 def cmd_exact(args) -> int:
     g, pg = _resolve_graph(args)
     if args.solver == "subset":
-        res = kappa_extra_subset(g, args.g, budget=args.budget)
+        budget = SUBSET_BUDGET if args.budget is None else args.budget
+        res = kappa_extra_subset(g, args.g, budget=budget)
+    elif args.budget is not None:
+        raise ValueError("--budget bounds the subset solver only")
     else:
         res = kappa_extra_fragment(g, args.g)
     if args.format == "json":
@@ -201,7 +204,7 @@ def cmd_identity(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    families = tuple(args.families.split(",")) if args.families else FAMILIES
+    families = FAMILIES if args.families is None else tuple(args.families.split(","))
 
     def parse_range(flag, text):
         if not text:
@@ -214,9 +217,9 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"{flag} {text!r} is reversed: lo > hi")
         return (lo, hi)
     explicit = None
-    if args.g_list:
+    if args.g_list is not None:
         try:
-            explicit = tuple(int(p) for p in args.g_list.split(","))
+            explicit = tuple(int(p) for p in args.g_list.split(",")) if args.g_list else ()
         except ValueError:
             raise ValueError(f"--g-list {args.g_list!r} is not a comma-separated "
                              "list of integers") from None
@@ -270,7 +273,7 @@ def build_parser() -> _Parser:
     add_common(p, FAMILIES, need_g=True)
     p.add_argument("--file")
     p.add_argument("--solver", choices=("fragment", "subset"), default="fragment")
-    p.add_argument("--budget", type=int, default=SUBSET_BUDGET)
+    p.add_argument("--budget", type=int, help="checks before --solver subset gives up")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_exact)
 

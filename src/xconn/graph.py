@@ -281,15 +281,18 @@ def mask_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def to_json(g: Graph) -> str:
-    """Serialize to the interchange format {"n", "edges", "labels"?}.
-
-    Declared automorphisms are not written, so a graph read back declares none.
-    """
+def _doc(g: Graph) -> dict:
+    """The interchange document {"n", "edges", "labels"?} of ``g``; declared
+    automorphisms are not written, so a graph read back declares none."""
     doc: dict = {"n": g.n, "edges": [list(e) for e in g.edges]}
     if g.labels is not None:
         doc["labels"] = list(g.labels)
-    return json.dumps(doc, sort_keys=True)
+    return doc
+
+
+def to_json(g: Graph) -> str:
+    """Serialize ``g`` to its interchange document (see ``_doc``)."""
+    return json.dumps(_doc(g), sort_keys=True)
 
 
 def from_json(text: str) -> Graph:

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .formulas import FAMILIES, family_cycles  # FAMILIES is re-exported
-from .graph import (Graph, Record, _check_vertex_set, check_int, components,
+from .graph import (Graph, Record, _check_vertex_set, _doc, check_int, components,
                     induced_subgraph, make_cycle, make_path, parse_json)
 from .graph import from_doc as graph_from_doc
 
@@ -239,13 +239,7 @@ def classify_cut(pg: ProductGraph, cut: Iterable[int]) -> CutClassification:
 
 
 def to_json(pg: ProductGraph) -> str:
-    doc = {
-        "n": pg.graph.n,
-        "edges": [list(e) for e in pg.graph.edges],
-        "product": {"kind": pg.kind, "m": pg.m, "n": pg.n},
-    }
-    if pg.graph.labels is not None:
-        doc["labels"] = list(pg.graph.labels)
+    doc = {**_doc(pg.graph), "product": {"kind": pg.kind, "m": pg.m, "n": pg.n}}
     return json.dumps(doc, sort_keys=True)
 
 
@@ -262,8 +256,6 @@ def from_doc(doc: object) -> ProductGraph:
         m, n, kind = meta["m"], meta["n"], meta["kind"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed product JSON ({type(exc).__name__}: {exc})") from None
-    if type(m) is not int or type(n) is not int:
-        raise ValueError("malformed product JSON (factor orders must be integers)")
     pg = ProductGraph(graph, m, n, kind)
     # the product rebuilt from its recovered factors must give back its edges;
     # path and cycle factors are rebuilt as such to declare their maps, as in

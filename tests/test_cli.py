@@ -65,6 +65,16 @@ def test_exact_negative_budget_reports_error(capsys):
     assert capsys.readouterr().err == "error: subset budget -1 is negative\n"
 
 
+@pytest.mark.parametrize("solver", [[], ["--solver", "fragment"]])
+def test_exact_budget_with_the_fragment_solver_reports_error(capsys, solver):
+    # the fragment solver takes no budget, so one given to it is refused, not ignored
+    assert run(["exact", "--family", "pxp", "--m", "4", "--n", "4", "--g", "1",
+                "--budget", "1", *solver]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --budget bounds the subset solver only\n"
+    assert captured.out == ""
+
+
 def test_gen_exact_round_trip(tmp_path, capsys):
     path = tmp_path / "torus.json"
     assert run(["gen", "--family", "cxc", "--m", "4", "--n", "4",
@@ -335,6 +345,18 @@ def test_sweep_g_list_not_integers_reports_error(capsys):
     assert run(["sweep", "--families", "pxp", "--g-list", "0,x", "--threads", "1"]) == 1
     assert capsys.readouterr().err == ("error: --g-list '0,x' is not a comma-separated "
                                        "list of integers\n")
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--families", "unknown family ''"),
+    ("--g-list", "explicit_g () selects no g; None selects every in-guard g")])
+def test_sweep_empty_list_reports_error(capsys, flag, message):
+    # an empty list selects nothing; it does not stand for the default
+    assert run(["sweep", f"{flag}=", "--m-range", "3:3", "--n-range", "3:3",
+                "--threads", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_sweep_g_list_selects_sorted_distinct_g(capsys):

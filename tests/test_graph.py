@@ -109,6 +109,12 @@ def test_json_round_trip():
         assert back.adj == g.adj and back.labels == g.labels
 
 
+def test_json_document_is_pinned_byte_for_byte():
+    # keys sorted, labels written because the path has them
+    assert to_json(make_path(3)) == \
+        '{"edges": [[0, 1], [1, 2]], "labels": ["x1", "x2", "x3"], "n": 3}'
+
+
 def mapped_edges(g, p):
     return {frozenset((p[u], p[v])) for u, v in g.edges}
 

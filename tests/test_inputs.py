@@ -155,9 +155,7 @@ COMMANDS = {
                  "--kind": mostly(["strong", "cartesian"], ["tensor"]),
                  "--file1": st.just("no-such-graph.json")}, {}),
     "exact": ({"--family": PRODUCT, "--format": TEXT,
-               "--solver": mostly(["fragment", "subset"], ["none"])},
-              # a subset scan always gets a small budget, so no draw runs for long
-              {"--g": G, "--budget": mostly(["40", "400", "4000"], ["-1", "0", "2.5"])}),
+               "--solver": mostly(["fragment", "subset"], ["none"])}, {"--g": G}),
     "formula": ({"--format": TEXT}, {"--family": PRODUCT, "--g": G}),
     "witness": ({"--format": mostly(["text", "json", "dot"], ["csv"])},
                 {"--family": PRODUCT, "--g": G,
@@ -187,6 +185,10 @@ def cli_arguments(draw) -> list[str]:
         always = {"--m": ORDER, "--n": ORDER, **always}
     for flag in sorted(always):
         argv += [flag, draw(always[flag])]
+    if "subset" in argv:
+        # a subset scan always gets a small budget, so no draw runs for long;
+        # the fragment solver refuses any budget, so its draws get none
+        argv += ["--budget", draw(mostly(["40", "400", "4000"], ["-1", "0", "2.5"]))]
     return argv
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from itertools import combinations
@@ -291,6 +292,19 @@ def test_product_json_round_trip_and_validation():
     doc["edges"] = doc["edges"][:-1]  # drop an edge: structure no longer a product
     with pytest.raises(ValueError, match="inconsistent with declared product structure"):
         from_json(json.dumps(doc))
+
+
+def test_product_json_document_is_pinned_byte_for_byte():
+    # unlabelled factors give a product with no labels entry
+    pg = strong_product(from_edges(3, [(0, 1), (1, 2)]), from_edges(2, [(0, 1)]))
+    text = to_json(pg)
+    assert text == ('{"edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [2, 4], '
+                    '[2, 5], [3, 4], [3, 5], [4, 5]], "n": 6, '
+                    '"product": {"kind": "strong", "m": 3, "n": 2}}')
+    labelled = to_json(family_product("cxp", 4, 3)).encode()
+    assert hashlib.sha256(labelled).hexdigest().startswith("77e9d71a99af4a7a")
+    with pytest.raises(ValueError, match="factor orders must be integers"):
+        from_json(text.replace('"m": 3', '"m": 2.5'))
 
 
 @pytest.mark.parametrize("parse", [graph_from_json, from_json], ids=["graph", "product"])
