@@ -207,7 +207,7 @@ def cmd_sweep(args) -> int:
     families = FAMILIES if args.families is None else tuple(args.families.split(","))
 
     def parse_range(flag, text):
-        if not text:
+        if text is None:
             return None
         try:
             lo, hi = map(int, text.split(":"))

@@ -1,8 +1,8 @@
 """Undirected simple graphs over integer vertex ids 0..n-1.
 
 Graphs are immutable after construction and every operation here is a pure
-function, so values can be shared freely across parallel sweeps.  The only
-cache is ``Graph.masks``, built from the immutable adjacency on first use.
+function, so values can be shared freely across parallel sweeps.  A graph
+stores its edges once, as per-vertex neighbour bitmasks, and keeps no cache.
 
 ``Record`` is the base of the package's validated records (``Graph`` here,
 ``ProductGraph``, ``FamilyParams`` and ``ExtraConnResult`` elsewhere); the
@@ -12,7 +12,6 @@ plain records are ``typing.NamedTuple`` classes.
 from __future__ import annotations
 
 import json
-from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -75,82 +74,79 @@ class Record:
 
 
 class Graph(Record):
-    """Immutable adjacency-list graph.
+    """Immutable graph stored as per-vertex neighbour bitmasks.
 
-    ``adj[v]`` is the sorted tuple of neighbours of ``v``.  ``labels``, when
-    present, carries one display string per vertex (paths use 1-based names
-    x1..xn, cycles 0-based x0..x(n-1), matching the usual conventions).
+    Bit u of ``masks[v]`` is set when u ~ v.  ``labels``, when present,
+    carries one display string per vertex (paths use 1-based names x1..xn,
+    cycles 0-based x0..x(n-1), matching the usual conventions).
     ``automorphisms`` optionally declares generators of a symmetry group:
     each is a permutation ``p`` of the vertices mapping every edge u-v to
     the edge p[u]-p[v].  They are checked here, so solvers may trust them;
-    they take no part in equality, hashing or serialization, and neither
-    does the cached ``masks``.
+    they take no part in equality, hashing or serialization.
     """
 
     n: int
-    adj: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
     labels: tuple[str, ...] | None
     automorphisms: tuple[tuple[int, ...], ...]
-    _fields = ("n", "adj", "labels", "automorphisms")
+    _fields = ("n", "masks", "labels", "automorphisms")
+    __slots__ = _fields
 
-    def __init__(self, n: int, adj: tuple[tuple[int, ...], ...],
+    def __init__(self, n: int, masks: tuple[int, ...],
                  labels: tuple[str, ...] | None = None,
                  automorphisms: tuple[tuple[int, ...], ...] = ()) -> None:
-        if len(adj) != check_int(n, "n", 0):
-            raise ValueError(f"adjacency length {len(adj)} != n={n}")
+        if len(masks) != check_int(n, "n", 0):
+            raise ValueError(f"{len(masks)} masks for n={n}")
         if labels is not None and len(labels) != n:
             raise ValueError("labels length mismatch")
-        for v, nbrs in enumerate(adj):
-            if any(type(u) is not int for u in nbrs):
-                raise ValueError(f"adjacency of {v} holds a non-integer")
-            if list(nbrs) != sorted(set(nbrs)):
-                raise ValueError(f"adjacency of {v} not sorted/duplicate-free")
-            for u in nbrs:
-                if not 0 <= u < n:
-                    raise ValueError(f"neighbour {u} of {v} out of range")
-                if u == v:
-                    raise ValueError(f"self-loop at {v}")
-                if v not in adj[u]:
+        for v, mask in enumerate(masks):
+            if type(mask) is not int or not 0 <= mask < 1 << n:
+                raise ValueError(f"mask of {v} is not a bitmask over range({n}): {mask!r}")
+        for v, mask in enumerate(masks):
+            if mask >> v & 1:
+                raise ValueError(f"self-loop at {v}")
+            for u in mask_to_tuple(mask):
+                if not masks[u] >> v & 1:
                     raise ValueError(f"edge {v}-{u} not symmetric")
         for p in automorphisms:
             if len(p) != n or set(p) != set(range(n)):
                 raise ValueError("declared automorphism is not a permutation of "
                                  f"range({n})")
-            for v, nbrs in enumerate(adj):
-                if tuple(sorted(p[u] for u in nbrs)) != adj[p[v]]:
+            for v, mask in enumerate(masks):
+                if sum(1 << p[u] for u in mask_to_tuple(mask)) != masks[p[v]]:
                     raise ValueError("declared permutation does not map the "
                                      f"neighbours of {v} onto those of {p[v]}")
-        self._init(n, adj, labels, automorphisms)
+        self._init(n, masks, labels, automorphisms)
 
     def _key(self) -> tuple:
-        return self.n, self.adj, self.labels
+        return self.n, self.masks, self.labels
+
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """``adj[v]`` is the sorted tuple of neighbours of ``v``."""
+        return tuple(map(mask_to_tuple, self.masks))
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((u, v) for u in range(self.n) for v in self.adj[u] if u < v)
+        return tuple((u, v) for u, mask in enumerate(self.masks)
+                     for v in mask_to_tuple(mask) if u < v)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj) // 2
+        return sum(mask.bit_count() for mask in self.masks) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.masks[v].bit_count()
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbour bitmasks (bit u set in masks[v] iff u ~ v),
-        built on first use and kept with the graph."""
-        return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]],
                labels: Sequence[str] | None = None,
                automorphisms: Iterable[Sequence[int]] = ()) -> Graph:
-    """Build a Graph from an edge list, deduplicating and sorting."""
-    nbrs: list[set[int]] = [set() for _ in range(check_int(n, "n", 0))]
+    """Build a Graph from an edge list, ignoring repeated edges."""
+    masks = [0] * check_int(n, "n", 0)
     for u, v in edges:
         if type(u) is not int or type(v) is not int:
             raise ValueError(f"edge ({u!r},{v!r}) has an end that is not an integer")
@@ -158,10 +154,9 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]],
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop ({u},{v})")
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    adj = tuple(tuple(sorted(s)) for s in nbrs)
-    return Graph(n, adj, tuple(labels) if labels is not None else None,
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph(n, tuple(masks), tuple(labels) if labels is not None else None,
                  tuple(tuple(p) for p in automorphisms))
 
 
@@ -202,10 +197,10 @@ def _check_vertex_set(g: Graph, vs: Iterable[int]) -> frozenset[int]:
 def neighborhood(g: Graph, vs: Iterable[int]) -> tuple[int, ...]:
     """Vertices outside ``vs`` adjacent to at least one member of ``vs``."""
     s = _check_vertex_set(g, vs)
-    out: set[int] = set()
+    out = 0
     for v in s:
-        out.update(g.adj[v])
-    return tuple(sorted(out - s))
+        out |= g.masks[v]
+    return tuple(u for u in mask_to_tuple(out) if u not in s)
 
 
 def remaining_mask(g: Graph, removed: Iterable[int]) -> int:
@@ -235,19 +230,20 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, tuple[int, ...
     """
     keep = sorted(_check_vertex_set(g, vs))
     index = {old: new for new, old in enumerate(keep)}
-    adj = tuple(tuple(index[u] for u in g.adj[old] if u in index) for old in keep)
+    masks = tuple(sum(1 << index[u] for u in mask_to_tuple(g.masks[old]) if u in index)
+                  for old in keep)
     labels = tuple(g.label(old) for old in keep) if g.labels is not None else None
-    return Graph(len(keep), adj, labels), tuple(keep)
+    return Graph(len(keep), masks, labels), tuple(keep)
 
 
 def min_degree(g: Graph) -> int:
     if g.n == 0:
         raise ValueError("empty graph has no minimum degree")
-    return min(len(nbrs) for nbrs in g.adj)
+    return min(mask.bit_count() for mask in g.masks)
 
 
 def is_complete(g: Graph) -> bool:
-    return all(len(nbrs) == g.n - 1 for nbrs in g.adj)
+    return all(mask.bit_count() == g.n - 1 for mask in g.masks)
 
 
 def mask_components(masks: Sequence[int], sub: int) -> list[tuple[int, int]]:

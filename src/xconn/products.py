@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 
 from .formulas import FAMILIES, family_cycles  # FAMILIES is re-exported
 from .graph import (Graph, Record, _check_vertex_set, _doc, check_int, components,
-                    induced_subgraph, make_cycle, make_path, parse_json)
+                    induced_subgraph, make_cycle, make_path, mask_to_tuple, parse_json)
 from .graph import from_doc as graph_from_doc
 
 
@@ -74,15 +74,15 @@ def _product(g1: Graph, g2: Graph, kind: str) -> ProductGraph:
     if g1.n == 0 or g2.n == 0:
         raise ValueError("product factors must be nonempty")
     m, n = g1.n, g2.n
-    # closed neighbourhoods N[i] of factor 1 and N[j] of factor 2
-    near1 = [sorted((i, *g1.adj[i])) for i in range(m)]
-    near2 = [sorted((j, *g2.adj[j])) for j in range(n)]
-    if kind == "strong":  # N[i] x N[j] minus (i, j), in row-major order
-        adj = [tuple(i2 * n + j2 for i2 in near1[i] for j2 in near2[j] if (i2, j2) != (i, j))
-               for i in range(m) for j in range(n)]
+    # rows[i] has bit i2 * n for each i2 ~ i, so rows[i] << j is column j of
+    # those rows, and rows[i] times a factor-2 mask (below 2**n) is the mask
+    # repeated in each of them
+    rows = [sum(1 << i2 * n for i2 in mask_to_tuple(mask)) for mask in g1.masks]
+    if kind == "strong":  # N[i] x N[j] minus (i, j), with N[.] closed neighbourhoods
+        masks = [(rows[i] | 1 << i * n) * (g2.masks[j] | 1 << j) ^ 1 << i * n + j
+                 for i in range(m) for j in range(n)]
     else:  # the two layer neighbourhoods
-        adj = [tuple(sorted([i * n + j2 for j2 in g2.adj[j]] + [i2 * n + j for i2 in g1.adj[i]]))
-               for i in range(m) for j in range(n)]
+        masks = [g2.masks[j] << i * n | rows[i] << j for i in range(m) for j in range(n)]
     labels = None
     if g1.labels is not None and g2.labels is not None:
         labels = tuple(f"({g1.labels[i]},{g2.labels[j]})"
@@ -93,16 +93,16 @@ def _product(g1: Graph, g2: Graph, kind: str) -> ProductGraph:
              for sigma in g1.automorphisms]
     autos += [tuple(i * n + tau[j] for i in range(m) for j in range(n))
               for tau in g2.automorphisms]
-    if g1.adj == g2.adj:
+    if g1.masks == g2.masks:
         autos.append(tuple(j * n + i for i in range(m) for j in range(n)))
-    graph = Graph(m * n, tuple(adj), labels, tuple(autos))
+    graph = Graph(m * n, tuple(masks), labels, tuple(autos))
     return ProductGraph(graph, m, n, kind)
 
 
 def _as_path_or_cycle(g: Graph) -> Graph | None:
     """``make_path`` or ``make_cycle`` of g's order when g has its edges."""
     shapes = (make(g.n) for make, least in ((make_path, 1), (make_cycle, 3)) if g.n >= least)
-    return next((shape for shape in shapes if shape.adj == g.adj), None)
+    return next((shape for shape in shapes if shape.masks == g.masks), None)
 
 
 def strong_product(g1: Graph, g2: Graph) -> ProductGraph:
@@ -263,11 +263,11 @@ def from_doc(doc: object) -> ProductGraph:
     shapes = _as_path_or_cycle(pg.factor1), _as_path_or_cycle(pg.factor2)
     declared = None not in shapes
     rebuilt = _product(*(shapes if declared else (pg.factor1, pg.factor2)), kind).graph
-    if rebuilt.adj != graph.adj:
+    if rebuilt.masks != graph.masks:
         raise ValueError("edge set inconsistent with declared product structure")
     if not declared:
         return pg
-    return ProductGraph(Graph(graph.n, graph.adj, graph.labels, rebuilt.automorphisms),
+    return ProductGraph(Graph(graph.n, graph.masks, graph.labels, rebuilt.automorphisms),
                         m, n, kind)
 
 

@@ -357,9 +357,10 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
     # the copy's vertex i is the graph's vertex order[i]; the graph's v is pos[v]
     order = sorted(range(graph.n), key=graph.degree)
     pos = {v: i for i, v in enumerate(order)}
-    masks = [sum(1 << pos[u] for u in graph.adj[v]) for v in order]
+    masks = [sum(1 << pos[u] for u in mask_to_tuple(graph.masks[v])) for v in order]
     autos = [tuple(pos[p[v]] for v in order) for p in graph.automorphisms]
-    seeds = {g: check_int(bound, "upper bound", 0) for g, bound in (upper_bounds or {}).items()}
+    seeds = {check_int(g, "g of an upper bound", 0): check_int(bound, "upper bound", 0)
+             for g, bound in (upper_bounds or {}).items()}
     ties, nodes = _fragment_search(masks, graph.n, extras, seeds, automorphisms=autos)
     retry = [g for g in extras if not ties[g] and g in seeds]
     if retry:
@@ -436,7 +437,7 @@ def classical_connectivity(graph: Graph) -> int:
         return graph.n - 1
     if not is_connected(graph):
         return 0
-    if max(map(len, graph.adj)) <= 2:  # a path, cut by one vertex, or a cycle
+    if max(mask.bit_count() for mask in graph.masks) <= 2:  # a path, cut by one vertex, or a cycle
         return 1 if min_degree(graph) == 1 else 2
     value = kappa_extra_fragment(graph, 0).value
     assert value is not INFINITY  # non-complete connected graphs always have a cut

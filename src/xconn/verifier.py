@@ -141,6 +141,8 @@ def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> tuple[SweepR
     Raises ``InconclusiveError``, with the pool's message, when a worker
     process of a pooled sweep dies."""
     check_int(threads, "threads", 1)
+    if not isinstance(config.families, (tuple, list)):
+        raise ValueError(f"families must be a tuple or a list, got {config.families!r}")
     for family in config.families:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")

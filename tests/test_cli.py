@@ -310,8 +310,9 @@ def test_graph_labelled_product_is_not_a_product(tmp_path, capsys):
     assert out_of(capsys) == "kappa_0 = infinity\n"
 
 
-@pytest.mark.parametrize("text", ["3", "3:x", "1:2:3"])
+@pytest.mark.parametrize("text", ["3", "3:x", "1:2:3", ""])
 def test_sweep_range_not_lo_hi_reports_error(capsys, text):
+    # '' too: an empty range does not stand for the default grid
     assert run(["sweep", "--families", "pxp", "--m-range", text, "--threads", "1"]) == 1
     assert capsys.readouterr().err == f"error: --m-range {text!r} is not lo:hi\n"
 

@@ -99,8 +99,32 @@ def test_from_edges_rejects_non_integers(n, edges):
 def test_graph_rejects_non_integer_order_or_neighbours():
     with pytest.raises(ValueError, match="must be an integer"):
         Graph(0.0, ())
-    with pytest.raises(ValueError, match="non-integer"):
-        Graph(2, ((True,), (0,)))
+    with pytest.raises(ValueError, match="not a bitmask"):
+        Graph(2, (0b10, 1.0))
+
+
+PATH3 = (0b010, 0b101, 0b010)  # the masks of the path 0-1-2
+
+
+@pytest.mark.parametrize("masks, automorphisms, message", [
+    ((True, 0b01), (), r"mask of 0 is not a bitmask over range\(2\): True"),
+    ((0b010, 0b101, -1), (), r"mask of 2 is not a bitmask over range\(3\): -1"),
+    ((0b010, 0b101, 0b1010), (), r"mask of 2 is not a bitmask over range\(3\): 10"),
+    ((0b011, 0b101, 0b010), (), "self-loop at 0"),
+    ((0b110, 0b101, 0b010), (), "edge 0-2 not symmetric"),
+    (PATH3, ((1, 0, 2),), "does not map the neighbours of 0 onto those of 1"),
+])
+def test_graph_refuses_masks_that_are_not_a_simple_graph(masks, automorphisms, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(len(masks), masks, None, automorphisms)
+
+
+def test_a_graph_keeps_its_masks_and_nothing_else():
+    assert Graph._fields == ("n", "masks", "labels", "automorphisms")
+    g = Graph(3, PATH3, None, ((2, 1, 0),))
+    assert g.masks == PATH3 and g.adj == ((1,), (0, 2), (1,))
+    assert g == from_edges(3, [(1, 2), (0, 1), (1, 0)])
+    assert not hasattr(g, "__dict__")
 
 
 def test_json_round_trip():
@@ -143,12 +167,12 @@ def test_declared_generators_are_validated():
         from_edges(3, edges, automorphisms=[(1, 0, 2)])
     path = make_path(3)
     with pytest.raises(ValueError):
-        Graph(3, path.adj, None, ((1, 0, 2),))
+        Graph(3, path.masks, None, ((1, 0, 2),))
 
 
 def test_declared_generators_take_no_part_in_equality_or_json():
     g = make_cycle(5)
-    bare = Graph(g.n, g.adj, g.labels)
+    bare = Graph(g.n, g.masks, g.labels)
     assert g == bare and hash(g) == hash(bare) and bare.automorphisms == ()
     back = from_json(to_json(g))
     assert back == g and back.automorphisms == ()
@@ -157,17 +181,13 @@ def test_declared_generators_take_no_part_in_equality_or_json():
 
 def test_cached_masks_take_no_part_in_equality_hash_json_or_replace():
     g = make_cycle(5)
-    bare = Graph(g.n, g.adj, g.labels)
+    bare = Graph(g.n, g.masks, g.labels)
     before = (hash(g), to_json(g))
-    assert "masks" not in vars(g)
-    masks = g.masks
-    assert vars(g)["masks"] is masks and g.masks is masks  # built once, then kept
-    assert g == bare and "masks" not in vars(bare)
+    assert g == bare
     assert (hash(g), to_json(g)) == before == (hash(bare), to_json(bare))
-    relabelled = Graph(g.n, g.adj, None, g.automorphisms)
-    assert "masks" not in vars(relabelled) and relabelled.masks == masks
-    assert Graph(g.n, g.adj, g.labels, g.automorphisms) == g
-    assert "masks" not in repr(g)
+    relabelled = Graph(g.n, g.masks, None, g.automorphisms)
+    assert relabelled.masks == g.masks
+    assert Graph(g.n, g.masks, g.labels, g.automorphisms) == g
 
 
 @given(connected_graphs())

@@ -23,7 +23,7 @@ from xconn import (ExtraConnResult, FamilyParams, Graph, ProductGraph, SweepConf
                    kappa_extra_subset, kappa_small_case, layer, make_cycle, make_i_set,
                    make_l_set, make_path, neighborhood, slice_of_set, sweep, validate_witness)
 from xconn.cli import run
-from xconn.solver import SolverStats
+from xconn.solver import SolverStats, fragment_solve_many
 
 P4 = make_path(4)
 PG = family_product("pxp", 3, 3)  # ids i*3 + j; the middle column {1, 4, 7} is a cut
@@ -31,7 +31,7 @@ ONE_CELL = SweepConfig(("pxp",), (3, 3), (3, 3), (0,))  # one cell: never a proc
 
 # (callable, kind of the argument under test, the call with that argument x)
 CALLS = [
-    (Graph, "order", lambda x: Graph(x, ((),) * 3)),
+    (Graph, "order", lambda x: Graph(x, (0,) * 3)),
     (from_edges, "order", lambda x: from_edges(x, [(0, 1)])),
     (make_path, "order", make_path),
     (make_cycle, "order", make_cycle),
@@ -128,6 +128,15 @@ def test_a_bool_or_float_is_never_taken_for_its_int():
         for value in (True, 3.0):
             with pytest.raises(ValueError):
                 at(value)
+
+
+@pytest.mark.parametrize("g", [value for value in NOT_INTEGERS + (-1,)
+                               if value != [3]])  # a list cannot be a dict key
+def test_the_g_of_an_upper_bound_is_checked(g):
+    # each key of ``upper_bounds`` is a g: a float or a string is neither
+    # taken for one nor silently ignored
+    with pytest.raises(ValueError, match="g of an upper bound"):
+        fragment_solve_many(P4, [0], {g: 1})
 
 
 # --- the command line -------------------------------------------------------

@@ -338,7 +338,7 @@ def test_family_product_generators_map_the_edge_set_onto_itself(family, kind, m,
 
 def test_product_generators_take_no_part_in_equality_or_json():
     pg = family_product("cxc", 4, 4)
-    bare = Graph(pg.graph.n, pg.graph.adj, pg.graph.labels)
+    bare = Graph(pg.graph.n, pg.graph.masks, pg.graph.labels)
     assert pg.graph == bare and hash(pg.graph) == hash(bare)
     text = to_json(pg)
     assert "automorphisms" not in json.loads(text)

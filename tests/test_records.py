@@ -29,7 +29,7 @@ def records_with_a_changed_field():
     layer = [pg.id(1, j) for j in range(3)]
     return [
         (pg.graph, "labels", None),
-        (pg, "graph", Graph(pg.graph.n, pg.graph.adj)),
+        (pg, "graph", Graph(pg.graph.n, pg.graph.masks)),
         (params, "g", 1),
         (res, "solver", "subset"),
         (res.stats, "nodes", res.stats.nodes + 1),

@@ -296,7 +296,7 @@ def subset_values(g):
 def test_min_cuts_grouped_after_a_solve(a, b, solved, b_equals_a):
     # a solve leaves no state behind that could answer for another graph
     if b_equals_a:
-        b = Graph(a.n, a.adj, a.labels, a.automorphisms)  # equal to a, but a distinct object
+        b = Graph(a.n, a.masks, a.labels, a.automorphisms)  # equal to a, but a distinct object
     fragment_solve_many(a, sorted(solved))
     for graph in (b, a):
         values = subset_values(graph)
@@ -390,7 +390,7 @@ def test_classical_connectivity_matches_a_fresh_solve(g):
     fresh = kappa_extra_fragment(g, 0).value
     expected = g.n - 1 if fresh is INFINITY else fresh
     # an equal graph object, built separately, gets the same answer
-    twin = Graph(g.n, g.adj, g.labels, g.automorphisms)
+    twin = Graph(g.n, g.masks, g.labels, g.automorphisms)
     assert classical_connectivity(g) == classical_connectivity(twin) == expected
 
 
@@ -504,7 +504,7 @@ def test_kappa0_matches_networkx_node_connectivity(g):
 
 def bare_copy(graph):
     """The same graph declaring no automorphisms, so searched from every root."""
-    return Graph(graph.n, graph.adj)
+    return Graph(graph.n, graph.masks)
 
 
 def witness_seeds(pg, family, m, n, gs):
@@ -581,7 +581,7 @@ def test_any_declared_generators_keep_every_answer(family, m, n, data):
     # a random subset of the generators: the maps that fix a root vary
     graph = family_product(family, m, n).graph
     autos = data.draw(st.lists(st.sampled_from(graph.automorphisms), min_size=1, unique=True))
-    declared = Graph(graph.n, graph.adj, automorphisms=tuple(autos))
+    declared = Graph(graph.n, graph.masks, automorphisms=tuple(autos))
     gs = [0, 1, 2]
     assert solve_and_group(declared, gs, {}) == solve_and_group(bare_copy(graph), gs, {})
 
@@ -604,7 +604,7 @@ def test_fragment_node_counts(family, m, n, extra, seeds, nodes):
     # node counts do not depend on the machine, so a search change shows here
     graph = family_product(family.removesuffix("-bare"), m, n).graph
     if family.endswith("-bare"):
-        graph = Graph(graph.n, graph.adj)
+        graph = Graph(graph.n, graph.masks)
     res = fragment_solve_many(graph, [extra], seeds)[extra]
     assert res.stats.nodes == nodes
 

@@ -72,6 +72,13 @@ def test_sweep_rejects_an_unknown_family():
         sweep(SweepConfig(families=("bogus",)))
 
 
+@pytest.mark.parametrize("families", ["pxp", None])
+def test_sweep_rejects_families_that_are_not_a_tuple_or_a_list(families):
+    # a string once ran as its characters: "unknown family 'p'"
+    with pytest.raises(ValueError, match="^families must be a tuple or a list, got "):
+        sweep(SMALL._replace(families=families))
+
+
 @pytest.mark.parametrize("config, message", [
     (SweepConfig(families=("pxp",), m_range=(5, 3)),
      "m_range (5, 3), n_range None, least orders (m, n) pxp (3, 3)"),
