@@ -332,6 +332,9 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (MemoryError, OverflowError) as exc:  # e.g. a document whose n is 2**62
+        print(f"error: input too large to build ({type(exc).__name__})", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

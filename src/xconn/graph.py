@@ -83,6 +83,10 @@ class Graph(Record):
     each is a permutation ``p`` of the vertices mapping every edge u-v to
     the edge p[u]-p[v].  They are checked here, so solvers may trust them;
     they take no part in equality, hashing or serialization.
+
+    The constructor copies ``masks``, ``labels`` and each map into tuples
+    before it checks them, so a caller's list cannot change a checked graph.
+    Labels must be strings; a single ``str`` is refused, not split.
     """
 
     n: int
@@ -92,13 +96,21 @@ class Graph(Record):
     _fields = ("n", "masks", "labels", "automorphisms")
     __slots__ = _fields
 
-    def __init__(self, n: int, masks: tuple[int, ...],
-                 labels: tuple[str, ...] | None = None,
-                 automorphisms: tuple[tuple[int, ...], ...] = ()) -> None:
+    def __init__(self, n: int, masks: Iterable[int],
+                 labels: Iterable[str] | None = None,
+                 automorphisms: Iterable[Iterable[int]] = ()) -> None:
+        masks = tuple(masks)
+        if isinstance(labels, str):
+            raise ValueError(f"labels must be a sequence of strings, got {labels!r}")
+        labels = tuple(labels) if labels is not None else None
+        automorphisms = tuple(map(tuple, automorphisms))
         if len(masks) != check_int(n, "n", 0):
             raise ValueError(f"{len(masks)} masks for n={n}")
         if labels is not None and len(labels) != n:
             raise ValueError("labels length mismatch")
+        for v, label in enumerate(labels or ()):
+            if type(label) is not str:
+                raise ValueError(f"label of {v} is not a string: {label!r}")
         for v, mask in enumerate(masks):
             if type(mask) is not int or not 0 <= mask < 1 << n:
                 raise ValueError(f"mask of {v} is not a bitmask over range({n}): {mask!r}")
@@ -156,8 +168,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]],
             raise ValueError(f"self-loop ({u},{v})")
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    return Graph(n, tuple(masks), tuple(labels) if labels is not None else None,
-                 tuple(tuple(p) for p in automorphisms))
+    return Graph(n, masks, labels, automorphisms)
 
 
 def make_path(n: int, letter: str = "x") -> Graph:
@@ -230,8 +241,8 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, tuple[int, ...
     """
     keep = sorted(_check_vertex_set(g, vs))
     index = {old: new for new, old in enumerate(keep)}
-    masks = tuple(sum(1 << index[u] for u in mask_to_tuple(g.masks[old]) if u in index)
-                  for old in keep)
+    masks = (sum(1 << index[u] for u in mask_to_tuple(g.masks[old]) if u in index)
+             for old in keep)
     labels = tuple(g.label(old) for old in keep) if g.labels is not None else None
     return Graph(len(keep), masks, labels), tuple(keep)
 

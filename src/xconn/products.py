@@ -95,7 +95,7 @@ def _product(g1: Graph, g2: Graph, kind: str) -> ProductGraph:
               for tau in g2.automorphisms]
     if g1.masks == g2.masks:
         autos.append(tuple(j * n + i for i in range(m) for j in range(n)))
-    graph = Graph(m * n, tuple(masks), labels, tuple(autos))
+    graph = Graph(m * n, masks, labels, autos)
     return ProductGraph(graph, m, n, kind)
 
 

@@ -54,7 +54,8 @@ class SolverStats(NamedTuple):
 
 
 class ExtraConnResult(Record):
-    """A solver's answer: a finite witness must have ``value`` vertices."""
+    """A solver's answer: a finite witness must have ``value`` vertices.
+    ``witness`` and ``cuts`` are copied into tuples, as a ``Graph``'s are."""
 
     extra: int
     value: int | float  # finite int or INFINITY
@@ -67,9 +68,11 @@ class ExtraConnResult(Record):
     _fields = ("extra", "value", "witness", "solver", "stats", "cuts")
     __slots__ = _fields
 
-    def __init__(self, extra: int, value: int | float, witness: tuple[int, ...] | None,
+    def __init__(self, extra: int, value: int | float, witness: Iterable[int] | None,
                  solver: str, stats: SolverStats,
-                 cuts: tuple[tuple[int, ...], ...] | None = None) -> None:
+                 cuts: Iterable[Iterable[int]] | None = None) -> None:
+        witness = tuple(witness) if witness is not None else None
+        cuts = tuple(map(tuple, cuts)) if cuts is not None else None
         check_int(extra, "extra", 0)
         if value is not INFINITY and witness is not None and len(witness) != value:
             raise ValueError("witness size does not match value")
@@ -377,7 +380,7 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
         if not ties[g]:
             out[g] = ExtraConnResult(g, INFINITY, None, "fragment", stats, ())
         else:
-            cuts = tuple(sorted(cut_of[mask] for mask in ties[g]))
+            cuts = sorted(cut_of[mask] for mask in ties[g])
             out[g] = ExtraConnResult(g, len(cuts[0]), cuts[0], "fragment", stats, cuts)
     return out
 

@@ -266,6 +266,10 @@ MALFORMED_GRAPHS = [
     ('{"n": true, "edges": []}', "n must be a non-negative integer"),
     ('{"n": 2, "edges": [[0, 1]], "labels": [0, 1]}', "labels must be a list of strings"),
     ('{"n": 2, "edges": [[0, 1]], "labels": "ab"}', "labels must be a list of strings"),
+    # orders the interpreter refuses before it allocates anything; never
+    # put a size here that can actually be allocated
+    ('{"n": 4611686018427387904, "edges": []}', "input too large to build (MemoryError)"),
+    ('{"n": 9223372036854775808, "edges": []}', "input too large to build (OverflowError)"),
 ]
 
 

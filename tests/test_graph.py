@@ -8,6 +8,7 @@ from strategies import connected_graphs, graphs_with_vertex_sets
 from xconn.graph import (Graph, components, from_edges, from_json, induced_subgraph,
                          is_complete, is_connected, make_cycle, make_path,
                          min_degree, neighborhood, to_dot, to_json)
+from xconn.solver import kappa_extra_fragment
 
 
 def test_make_path_basics():
@@ -125,6 +126,51 @@ def test_a_graph_keeps_its_masks_and_nothing_else():
     assert g.masks == PATH3 and g.adj == ((1,), (0, 2), (1,))
     assert g == from_edges(3, [(1, 2), (0, 1), (1, 0)])
     assert not hasattr(g, "__dict__")
+
+
+def test_a_graph_built_from_lists_is_not_changed_through_them():
+    c6 = make_cycle(6)
+    masks, labels = list(c6.masks), list(c6.labels)
+    autos = [list(p) for p in c6.automorphisms]
+    g = Graph(6, masks, labels, autos)
+    before = hash(g)
+    # were this list kept, the solver would trust a map that is not an
+    # automorphism and report 15 cuts, among them (0, 5), which is not a cut
+    autos[1][:] = [1, 0, 2, 3, 4, 5]
+    masks[0], labels[0] = 0b000011, 7
+    cuts = kappa_extra_fragment(g, 0).cuts
+    assert len(cuts) == 9 and (0, 2) in cuts and (0, 5) not in cuts
+    assert hash(g) == before and g == c6 and g.automorphisms == c6.automorphisms
+
+
+@pytest.mark.parametrize("labels, message", [
+    ("ab", "labels must be a sequence of strings, got 'ab'"),
+    (["a", 1], "label of 1 is not a string: 1"),
+])
+def test_labels_must_be_strings(labels, message):
+    with pytest.raises(ValueError, match=message):
+        from_edges(2, [(0, 1)], labels=labels)
+    with pytest.raises(ValueError, match=message):
+        Graph(2, (0b10, 0b01), labels)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))) if n else st.just(set()),
+    st.none() | st.text(min_size=n, max_size=n)
+    | st.lists(st.text(max_size=3) | st.integers(), min_size=n, max_size=n))))
+def test_every_graph_the_constructor_accepts_reads_back_equal(case):
+    n, pairs, labels = case
+    masks = [0] * n
+    for u, v in pairs:
+        if u != v:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    try:
+        g = Graph(n, masks, labels)
+    except ValueError:
+        return
+    assert from_json(to_json(g)) == g
 
 
 def test_json_round_trip():

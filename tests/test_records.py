@@ -16,7 +16,7 @@ import xconn
 from xconn.formulas import FamilyParams, kappa_formula
 from xconn.graph import Graph
 from xconn.products import classify_cut, family_product
-from xconn.solver import check_g_extra_cut, kappa_extra_fragment
+from xconn.solver import ExtraConnResult, check_g_extra_cut, kappa_extra_fragment
 from xconn.verifier import SweepConfig, _evaluate_cell
 from xconn.witnesses import plan_witness
 
@@ -27,8 +27,14 @@ def records_with_a_changed_field():
     params = FamilyParams("pxp", 3, 3, 0)
     res = kappa_extra_fragment(pg.graph, 0)
     layer = [pg.id(1, j) for j in range(3)]
+    # records built from lists, which they must store as tuples
+    listed = Graph(pg.graph.n, list(pg.graph.masks), list(pg.graph.labels),
+                   [list(p) for p in pg.graph.automorphisms])
+    listed_res = ExtraConnResult(0, 2, [0, 2], "fragment", res.stats, [[0, 2], [1, 3]])
     return [
         (pg.graph, "labels", None),
+        (listed, "labels", None),
+        (listed_res, "witness", (1, 3)),
         (pg, "graph", Graph(pg.graph.n, pg.graph.masks)),
         (params, "g", 1),
         (res, "solver", "subset"),
