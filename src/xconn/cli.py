@@ -153,8 +153,8 @@ def cmd_formula(args) -> int:
 def cmd_witness(args) -> int:
     params = FamilyParams(args.family, args.m, args.n, args.g)
     spec = plan_witness(params, args.which)
+    pg = family_product(args.family, args.m, args.n)  # refuses an oversized order first
     cut = build_witness(spec)
-    pg = family_product(args.family, args.m, args.n)
     verdict = validate_witness(pg, cut, args.g)
     if args.format == "dot":
         _emit(graphmod.to_dot(pg.graph, cut), args.out)

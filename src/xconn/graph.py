@@ -155,9 +155,10 @@ class Graph(Record):
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]],
-               labels: Sequence[str] | None = None,
-               automorphisms: Iterable[Sequence[int]] = ()) -> Graph:
-    """Build a Graph from an edge list, ignoring repeated edges."""
+               labels: Iterable[str] | None = None,
+               automorphisms: Iterable[Iterable[int]] = ()) -> Graph:
+    """Build a Graph from an edge list, ignoring repeated edges.  The masks
+    come first, so an order too large to allocate fails before the rest is read."""
     masks = [0] * check_int(n, "n", 0)
     for u, v in edges:
         if type(u) is not int or type(v) is not int:
@@ -177,9 +178,8 @@ def make_path(n: int, letter: str = "x") -> Graph:
     Declares its reversal i -> n-1-i as an automorphism.
     """
     check_int(n, "path order", 1)
-    labels = tuple(f"{letter}{i + 1}" for i in range(n))
-    reversal = tuple(range(n - 1, -1, -1))
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)], labels, [reversal])
+    return from_edges(n, ((i, i + 1) for i in range(n - 1)),
+                      (f"{letter}{i + 1}" for i in range(n)), [range(n - 1, -1, -1)])
 
 
 def make_cycle(n: int, letter: str = "x") -> Graph:
@@ -189,11 +189,9 @@ def make_cycle(n: int, letter: str = "x") -> Graph:
     generate its whole automorphism group.
     """
     check_int(n, "cycle order", 3)
-    labels = tuple(f"{letter}{i}" for i in range(n))
-    rotation = tuple((i + 1) % n for i in range(n))
-    reflection = tuple(-i % n for i in range(n))
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)], labels,
-                      [rotation, reflection])
+    return from_edges(n, ((i, (i + 1) % n) for i in range(n)),
+                      (f"{letter}{i}" for i in range(n)),
+                      [((i + 1) % n for i in range(n)), (-i % n for i in range(n))])
 
 
 def _check_vertex_set(g: Graph, vs: Iterable[int]) -> frozenset[int]:

@@ -1,7 +1,8 @@
 """Strong and Cartesian products with layer/slice queries and cut structure.
 
 Product vertices are pairs (i, j) of factor ids, packed row-major as
-``i * n + j``.  Two product vertices are adjacent when
+``i * n + j``; this module alone converts between the two.  Two product
+vertices are adjacent when
 
   (i)   i1 == i2 and j1 ~ j2            (both products)
   (ii)  j1 == j2 and i1 ~ i2            (both products)
@@ -138,6 +139,15 @@ def layer(pg: ProductGraph, axis: str, index: int) -> tuple[int, ...]:
             raise ValueError(f"layer index {index} out of range")
         return tuple(pg.id(index, j) for j in range(pg.n))
     raise ValueError(f"axis must be 'factor1' or 'factor2', got {axis!r}")
+
+
+def _neighbourhood(m: int, n: int, rows: range, cols: range) -> tuple[int, ...]:
+    """N(rows x cols) in the strong product: the block widened by one step in
+    each factor, clipped to the grid, minus the block itself."""
+    wide_rows = range(max(rows.start - 1, 0), min(rows.stop + 1, m))
+    wide_cols = range(max(cols.start - 1, 0), min(cols.stop + 1, n))
+    return tuple(i * n + j for i in wide_rows for j in wide_cols
+                 if i not in rows or j not in cols)
 
 
 def slice_of_set(pg: ProductGraph, s: Iterable[int], axis: str, index: int) -> tuple[int, ...]:

@@ -28,7 +28,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .graph import (Graph, Record, check_int, is_complete, is_connected, mask_components,
                     mask_to_tuple, min_degree, remaining_mask)
-from .products import ProductGraph
 
 INFINITY = math.inf
 SUBSET_BUDGET = 10 ** 8  # default subset checks of the brute-force scans
@@ -467,7 +466,7 @@ def check_layer_bounds(pg: ProductGraph, cuts: Iterable[Iterable[int]], extra: i
         # a column j is the slice inside the factor-1 layer at y_j: bound kappa(G1)
         rows, cols = [0] * pg.m, [0] * pg.n
         for v in set(cut):  # in range: checked above
-            i, j = divmod(v, pg.n)
+            i, j = pg.coords(v)
             rows[i] += 1
             cols[j] += 1
         if any(0 < c < k2 for c in rows) or any(0 < c < k1 for c in cols):

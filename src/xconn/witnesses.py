@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple
 
 from .formulas import (CYCLES, TERMS, DomainError, FamilyParams, ceil_div, ceil_sqrt,
                        formula_terms, guard)
-from .products import ProductGraph
+from .products import ProductGraph, _neighbourhood
 from .solver import CutVerdict, check_g_extra_cut
 
 WITNESS_KINDS = TERMS
@@ -68,15 +68,6 @@ def _place(size: int, cycle: int, length: int) -> range | None:
     return range(start, start + length) if start + length <= size - 1 else None
 
 
-def _neighbourhood(m: int, n: int, rows: range, cols: range) -> tuple[int, ...]:
-    """N(rows x cols) in the strong product: the block widened by one step in
-    each factor, clipped to the grid, minus the block itself."""
-    wide_rows = range(max(rows.start - 1, 0), min(rows.stop + 1, m))
-    wide_cols = range(max(cols.start - 1, 0), min(cols.stop + 1, n))
-    return tuple(i * n + j for i in wide_rows for j in wide_cols
-                 if i not in rows or j not in cols)
-
-
 def _block_shapes(g: int, cycle1: int, cycle2: int) -> list[tuple[int, int]]:
     """The a x b block sizes to try for the block cut, in order."""
     x = g + 1
@@ -90,7 +81,7 @@ def _block_shapes(g: int, cycle1: int, cycle2: int) -> list[tuple[int, int]]:
 
 
 def build_witness(spec: WitnessSpec) -> tuple[int, ...]:
-    """The witness vertex set as sorted internal product ids (row-major i*n+j)."""
+    """The witness vertex set as sorted product ids, numbered as in ``products``."""
     params = spec.params
     m, n = params.m, params.n
     cycle1, cycle2 = CYCLES[params.family]

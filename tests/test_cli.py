@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
+import xconn
 from xconn import solver, verifier
 from xconn.cli import run
 
@@ -282,6 +287,43 @@ def test_malformed_graph_json_exits_1(tmp_path, capsys, doc, message):
     assert run(["exact", "--file", str(path), "--g", "0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message.format(path=path) in err
+
+
+# factor orders the interpreter cannot index (2**63) or allocate (2**62);
+# each command must be refused before it builds anything of that order
+OVERSIZED_COMMANDS = [
+    ["gen", "--family", "path", "--n", str(2 ** 63)],
+    ["gen", "--family", "cycle", "--n", str(2 ** 62)],
+    ["gen", "--family", "pxp", "--m", str(2 ** 62), "--n", "3"],
+    ["witness", "--family", "pxp", "--m", str(2 ** 62), "--n", "3", "--g", "0",
+     "--which", "layers1"],
+    ["exact", "--family", "cxc", "--m", str(2 ** 63), "--n", "4", "--g", "0"],
+]
+
+# run in a child capped at 1 GiB of address space, so that a command which
+# starts to build anyway fails there and cannot exhaust the machine's memory;
+# never run these commands without the cap
+CAPPED_RUN = """
+import resource, sys, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from xconn.cli import run
+tracemalloc.start()
+code = run(sys.argv[1:])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_COMMANDS, ids=" ".join)
+def test_an_order_too_large_to_build_exits_1_at_once(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(xconn.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", CAPPED_RUN, *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    code, peak = map(int, out.stdout.split())
+    assert code == 1
+    assert out.stderr.startswith("error: input too large to build")
+    assert "Traceback" not in out.stderr
+    assert peak < 10 << 20  # bytes traced while the command ran
 
 
 def test_product_with_integer_labels_exits_1(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import networkx as nx
@@ -10,7 +11,8 @@ from xconn import solver
 from xconn.formulas import DomainError, FamilyParams, guard_limit
 from xconn.graph import (Graph, components, from_edges, is_complete, make_cycle, make_path,
                          neighborhood)
-from xconn.products import FAMILIES, family_product, strong_product
+from xconn.formulas import CYCLES
+from xconn.products import FAMILIES, family_product, slice_of_set, strong_product
 from xconn.solver import (INFINITY, InconclusiveError, check_g_extra_cut,
                           check_layer_bounds, classical_connectivity,
                           enumerate_min_cuts, fragment_solve_many,
@@ -450,6 +452,30 @@ def test_check_layer_bounds_batch():
     assert not check_layer_bounds(cxc, good + [bad], 0)
     with pytest.raises(ValueError):
         check_layer_bounds(cxc, good + [[cxc.id(0, 0)]], 0)  # not a g-extra cut
+
+
+def test_check_layer_bounds_follows_the_slice_rule():
+    # every g-extra cut of at most 5 vertices, minimum or not: the check
+    # passes exactly when no slice of the cut inside a factor-1 layer (a
+    # column) or a factor-2 layer (a row) is nonempty and smaller than that
+    # factor's connectivity, 1 for a path and 2 for a cycle
+    checked = violating = 0
+    for fam, m, n in [("pxp", 3, 3), ("pxp", 3, 4), ("pxp", 4, 4),
+                      ("cxp", 4, 3), ("cxp", 4, 4), ("cxc", 4, 4)]:
+        pg = family_product(fam, m, n)
+        k1, k2 = (1 + c for c in CYCLES[fam])
+        for size in range(1, 6):
+            for cut in itertools.combinations(range(m * n), size):
+                for g in (0, 1):
+                    if not check_g_extra_cut(pg.graph, cut, g).is_g_extra:
+                        continue
+                    slices = [(len(slice_of_set(pg, cut, "factor1", j)), k1) for j in range(n)]
+                    slices += [(len(slice_of_set(pg, cut, "factor2", i)), k2) for i in range(m)]
+                    rule = all(not 0 < count < bound for count, bound in slices)
+                    assert check_layer_bounds(pg, [cut], g) == rule, (fam, m, n, g, cut)
+                    checked += 1
+                    violating += not rule
+    assert (checked, violating) == (1125, 64)
 
 
 def test_min_cut_neighbourhood_anchor_on_family_instances():
