@@ -68,12 +68,22 @@ def _parse_cut(text: str) -> tuple[int, ...]:
         raise ValueError(f"--cut {text!r} is not a list of vertex ids") from None
 
 
+def _family_flags(args) -> str:
+    """Those of --family, --m and --n that were given, joined for a message;
+    --m and --n default to 0, so a nonzero value marks one as given."""
+    return ", ".join(f"--{name}" for name in ("family", "m", "n") if getattr(args, name))
+
+
 def _resolve_graph(args) -> tuple[graphmod.Graph, ProductGraph | None]:
     if getattr(args, "file", None):
+        if flags := _family_flags(args):
+            raise ValueError(f"--file gives the graph, so {flags} would be ignored")
         return _load_any(args.file)
     if args.family in FAMILIES:
         pg = family_product(args.family, args.m, args.n)
         return pg.graph, pg
+    if args.family and args.m:
+        raise ValueError(f"--family {args.family} takes --n only, so --m would be ignored")
     if args.family == "path":
         return graphmod.make_path(args.n), None
     if args.family == "cycle":
@@ -96,6 +106,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_product(args) -> int:
+    if (args.file1 or args.file2) and (flags := _family_flags(args)):
+        raise ValueError(f"--file1 and --file2 give the factors, so {flags} would be ignored")
     if bool(args.file1) != bool(args.file2):
         raise ValueError(f"a product of two files needs {'--file2' if args.file1 else '--file1'}")
     if args.file1:

@@ -100,10 +100,10 @@ def _product(g1: Graph, g2: Graph, kind: str) -> ProductGraph:
     return ProductGraph(graph, m, n, kind)
 
 
-def _as_path_or_cycle(g: Graph) -> Graph | None:
-    """``make_path`` or ``make_cycle`` of g's order when g has its edges."""
+def _as_path_or_cycle(g: Graph) -> Graph:
+    """``make_path`` or ``make_cycle`` of g's order when g has its edges, else g."""
     shapes = (make(g.n) for make, least in ((make_path, 1), (make_cycle, 3)) if g.n >= least)
-    return next((shape for shape in shapes if shape.masks == g.masks), None)
+    return next((shape for shape in shapes if shape.masks == g.masks), g)
 
 
 def strong_product(g1: Graph, g2: Graph) -> ProductGraph:
@@ -267,16 +267,12 @@ def from_doc(doc: object) -> ProductGraph:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed product JSON ({type(exc).__name__}: {exc})") from None
     pg = ProductGraph(graph, m, n, kind)
-    # the product rebuilt from its recovered factors must give back its edges;
-    # path and cycle factors are rebuilt as such to declare their maps, as in
-    # family_product, and any other factor declares none
-    shapes = _as_path_or_cycle(pg.factor1), _as_path_or_cycle(pg.factor2)
-    declared = None not in shapes
-    rebuilt = _product(*(shapes if declared else (pg.factor1, pg.factor2)), kind).graph
+    # the product rebuilt from its recovered factors must give back its edges,
+    # and declares the maps _product gives them; path and cycle factors are
+    # rebuilt as such first, as in family_product, to declare theirs
+    rebuilt = _product(*map(_as_path_or_cycle, (pg.factor1, pg.factor2)), kind).graph
     if rebuilt.masks != graph.masks:
         raise ValueError("edge set inconsistent with declared product structure")
-    if not declared:
-        return pg
     return ProductGraph(Graph(graph.n, graph.masks, graph.labels, rebuilt.automorphisms),
                         m, n, kind)
 

@@ -129,6 +129,36 @@ def test_product_from_one_file_names_the_missing_flag(tmp_path, capsys, given, m
     assert captured.out == ""
 
 
+def test_file_with_family_flags_is_refused_before_it_is_opened(tmp_path, capsys):
+    # the file gives the graph, so --family, --m and --n would be ignored; a
+    # file that does not exist shows it is not read
+    missing = str(tmp_path / "no-such.json")
+    assert run(["exact", "--file", missing, "--family", "pxp", "--m", "3", "--n", "3",
+                "--g", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: --file gives the graph, so --family, --m, --n "
+                            "would be ignored\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_gen_path_or_cycle_with_m_is_refused(capsys, family):
+    assert run(["gen", "--family", family, "--m", "9", "--n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --family {family} takes --n only, so --m would be ignored\n"
+    assert captured.out == ""
+
+
+def test_product_family_with_files_is_refused_before_they_are_opened(tmp_path, capsys):
+    f1, f2 = str(tmp_path / "p3.json"), str(tmp_path / "c4.json")
+    assert run(["product", "--family", "cxc", "--m", "5", "--n", "5",
+                "--file1", f1, "--file2", f2]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: --file1 and --file2 give the factors, so --family, "
+                            "--m, --n would be ignored\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["formula", "--m", "5", "--n", "5", "--g", "0"],
     ["witness", "--m", "5", "--n", "5", "--g", "0", "--which", "block"],

@@ -355,13 +355,39 @@ def test_product_json_round_trip_keeps_the_search(family, m, n):
     assert fragment_solve_many(back.graph, [0, 1, 2]) == fragment_solve_many(pg.graph, [0, 1, 2])
 
 
-def test_product_json_declares_generators_only_for_path_and_cycle_factors():
+def test_product_json_reads_back_with_the_maps_it_was_built_with():
+    # every factor's maps and the swap of equal factors are declared again,
+    # so the search takes the same path
     star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    for pg, declared in [(strong_product(star, make_path(3)), False),
-                         (strong_product(star, star), False),
-                         (strong_product(make_path(3), make_cycle(4)), True)]:
-        back = from_json(to_json(pg))
-        assert back == pg and bool(back.graph.automorphisms) == declared
+    paw = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    pairs = [(star, make_path(3)), (star, star), (make_path(3), make_cycle(4)),
+             (paw, make_cycle(6)), (make_cycle(6), paw), (make_path(5), paw), (paw, paw)]
+    for build in (strong_product, cartesian_product):
+        for g1, g2 in pairs:
+            pg = build(g1, g2)
+            back = from_json(to_json(pg))
+            assert back == pg and back.graph.automorphisms == pg.graph.automorphisms
+            assert fragment_solve_many(back.graph, [0, 1, 2]) == \
+                fragment_solve_many(pg.graph, [0, 1, 2])
+
+
+# a drawn graph with a path's or a cycle's edges but no declared maps would
+# read back declaring theirs, so those shapes (every connected graph of order
+# 2 among them) come from make_path and make_cycle
+small_factor = st.one_of(
+    st.integers(2, 4).map(make_path), st.integers(3, 4).map(make_cycle),
+    connected_graphs(min_n=3, max_n=4).filter(
+        lambda g: g.masks not in (make_path(g.n).masks, make_cycle(g.n).masks)))
+
+
+@given(small_factor, small_factor, st.sampled_from([strong_product, cartesian_product]))
+@settings(max_examples=30, deadline=None)
+def test_product_json_read_back_keeps_the_maps_and_the_search(g1, g2, build):
+    pg = build(g1, g2)
+    back = from_json(to_json(pg))
+    assert back.graph.automorphisms == pg.graph.automorphisms
+    # results compare value, witness, cuts and stats
+    assert fragment_solve_many(back.graph, [0, 1, 2]) == fragment_solve_many(pg.graph, [0, 1, 2])
 
 
 def test_family_product_rejects_unknown_kind():
