@@ -204,14 +204,15 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
     F, so the carried (N(H) - F - popped) | N(u), less H + u and F, equals
     N(H + u) - F.
 
-    The branch on u is pruned when its committed boundary |N(H + u) & F|
-    exceeds ub (the largest best size) or n - 2|H + u|, past which H + u
-    cannot be the smaller side.  With the i siblings popped before u in F,
-    and H disjoint from F, that count is c + i + |N(u) & (F - N(H))|, where
-    c is |N(H) & F| at entry: each popped sibling lies in N(H), so F - N(H)
-    does not change along the loop.  Only the last term depends on u; c + i
-    only grows, ub only falls and n - 2|H + u| is fixed, so once c + i
-    passes either limit no later sibling can be searched and the loop ends.
+    The branch on u, with the siblings popped before u in F, is pruned when
+    its committed boundary |N(H + u) & F| exceeds cap = min(ub, n - 2|H + u|)
+    (ub is the largest best size; past n - 2|H + u|, H + u cannot be the
+    smaller side).  The loop reads that count off the child's neighbourhood
+    and hands it down as the child's |N(H) & F| at entry.  The entry count
+    grows by one per popped sibling (each lies in N(H)) and bounds every
+    later sibling's count from below, since N(H + u) holds N(H) but u, and u
+    is not in F; so once it passes cap the loop ends.  Only an evaluation
+    lowers ub, so cap is read after the node's own and after each child.
 
     A child that passes is entered only if it does work there: it is
     evaluated (|H + u| >= min g + 1 and |N(H + u)| <= ub), or it can branch
@@ -283,7 +284,8 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
             else:
                 ties[g].add(w)
 
-    def grow(s_mask: int, size: int, nb_mask: int, forb: int, skip: int = 0) -> None:
+    def grow(s_mask: int, size: int, nb_mask: int, forb: int, committed: int,
+             skip: int = 0) -> None:
         nonlocal nodes
         nodes += 1
         # a necessary condition for a non-empty ``todo`` in evaluate
@@ -292,37 +294,31 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
             if nb_size <= ub:
                 evaluate(s_mask, size, nb_mask, nb_size)
         ext = nb_mask & ~forb
-        # a child's committed boundary is ``committed`` plus its neighbours
-        # in ``outer``; each popped sibling adds one to ``committed``
-        committed = (nb_mask & forb).bit_count()
-        outer = forb & ~nb_mask
         limit = n - (size + 1) * 2
-        child_evaluable = size + 1 >= min_size
+        cap = ub if ub < limit else limit
         while ext:
-            # no later child can pass the bound test below
-            if committed > ub or committed > limit:
+            # ``committed`` is |N(H) & F|, a floor on every later child's bound
+            if committed > cap:
                 return
             u_bit = ext & -ext
             ext ^= u_bit
-            u = u_bit.bit_length() - 1
-            bound = committed + (masks[u] & outer).bit_count()
-            # committed boundary already too big, or fragment can no longer
-            # be the smaller side of any cut within the bound; a skipped
-            # vertex is forbidden all the same
-            if bound <= ub and bound <= limit and not skip & u_bit:
+            if not skip & u_bit:  # a skipped vertex is forbidden all the same
                 s2 = s_mask | u_bit
-                nb2 = (nb_mask | masks[u]) & ~s2
-                # enter only a child that can branch or is evaluated
-                if ((bound <= limit - 2 and nb2 & ~forb)
-                        or (child_evaluable and nb2.bit_count() <= ub)):
-                    grow(s2, size + 1, nb2, forb)
+                nb2 = (nb_mask | masks[u_bit.bit_length() - 1]) & ~s2
+                bound = (nb2 & forb).bit_count()
+                # enter only a child within the bound that can branch or is evaluated
+                if bound <= cap and ((bound <= limit - 2 and nb2 & ~forb)
+                                     or (size >= min_size - 1 and nb2.bit_count() <= ub)):
+                    grow(s2, size + 1, nb2, forb, bound)
+                    cap = ub if ub < limit else limit  # the child may lower ub
             forb |= u_bit
             committed += 1
     try:
         for v in mask_to_tuple(_orbit_minima(full, automorphisms)):
             fixers = [p for p in automorphisms if p[v] == v]
             skip = masks[v] & ~_orbit_minima(masks[v], fixers)
-            grow(1 << v, 1, masks[v], (1 << v) - 1, skip)
+            forb = (1 << v) - 1
+            grow(1 << v, 1, masks[v], forb, (masks[v] & forb).bit_count(), skip)
     except RecursionError:
         raise InconclusiveError(
             f"fragment search deeper than the recursion limit "

@@ -73,6 +73,8 @@ def _cell_grid(config: SweepConfig, family: str) -> list[tuple[int, int]]:
     m_lo, m_hi = config.m_range or DEFAULT_GRIDS[family][0]
     n_lo, n_hi = config.n_range or DEFAULT_GRIDS[family][1]
     min_m, min_n = FAMILY_MINS[family]
+    if m_hi >= min_m and n_hi >= min_n:
+        [0] * (m_hi * n_hi)  # the largest order, allocated first as in from_edges
     return [(m, n)
             for m in range(max(m_lo, min_m), m_hi + 1)
             for n in range(max(n_lo, min_n), n_hi + 1)]
@@ -138,8 +140,9 @@ def sweep(config: SweepConfig = SweepConfig(), threads: int = 1) -> tuple[SweepR
     their rows are put back in report order, so the thread count never
     changes the report.
 
-    Raises ``InconclusiveError``, with the pool's message, when a worker
-    process of a pooled sweep dies."""
+    An order too large to allocate raises ``MemoryError`` or ``OverflowError``
+    before any cell is listed, and a worker process of a pooled sweep that
+    dies raises ``InconclusiveError`` with the pool's message."""
     check_int(threads, "threads", 1)
     if not isinstance(config.families, (tuple, list)):
         raise ValueError(f"families must be a tuple or a list, got {config.families!r}")

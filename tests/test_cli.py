@@ -328,6 +328,8 @@ OVERSIZED_COMMANDS = [
     ["witness", "--family", "pxp", "--m", str(2 ** 62), "--n", "3", "--g", "0",
      "--which", "layers1"],
     ["exact", "--family", "cxc", "--m", str(2 ** 63), "--n", "4", "--g", "0"],
+    # refused before the grid of cells is listed
+    ["sweep", "--families", "pxp", "--m-range", f"3:{2 ** 62}", "--n-range", "3:3"],
 ]
 
 # run in a child capped at 1 GiB of address space, so that a command which

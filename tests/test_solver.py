@@ -612,27 +612,40 @@ def test_any_declared_generators_keep_every_answer(family, m, n, data):
     assert solve_and_group(declared, gs, {}) == solve_and_group(bare_copy(graph), gs, {})
 
 
-@pytest.mark.parametrize("family,m,n,extra,seeds,nodes", [
+# a 20-vertex binary-heap spanning tree plus 18 chords: degrees 2 to 5, no
+# declared maps, kappa_0..3 = 2, 3, 3, 4 (the random-graphs workload's path)
+TREE_AND_CHORDS = from_edges(20, [((v - 1) // 2, v) for v in range(1, 20)] + [
+    (0, 3), (0, 11), (1, 10), (1, 14), (2, 17), (3, 4), (4, 11), (5, 6), (5, 18),
+    (6, 9), (7, 12), (8, 15), (8, 19), (9, 18), (10, 13), (13, 14), (15, 16), (16, 19)])
+
+
+@pytest.mark.parametrize("family,m,n,extras,seeds,nodes", [
     # the benchmark's torus-probe cell
-    pytest.param("cxc", 5, 6, 2, {2: 10}, 73_940, id="cxc-5-6-g2"),
+    pytest.param("cxc", 5, 6, [2], {2: 10}, 73_940, id="cxc-5-6-g2"),
     # 230 with every neighbour of the root branched on
-    pytest.param("cxc", 4, 4, 0, {}, 112, id="cxc-4-4-g0"),
+    pytest.param("cxc", 4, 4, [0], {}, 112, id="cxc-4-4-g0"),
     # the sweep's slowest cell; some roots have stabilisers
-    pytest.param("pxp", 6, 6, 3, {3: 5}, 24_860, id="pxp-6-6-g3"),
+    pytest.param("pxp", 6, 6, [3], {3: 5}, 24_860, id="pxp-6-6-g3"),
     # no declared maps: every root and branch searched
-    pytest.param("pxp-bare", 6, 6, 3, {3: 5}, 53_477, id="pxp-bare-6-6-g3"),
+    pytest.param("pxp-bare", 6, 6, [3], {3: 5}, 53_477, id="pxp-bare-6-6-g3"),
     # vertex-transitive: one root, its stabiliser prunes
-    pytest.param("cxc", 6, 6, 0, {0: 12}, 201_871, id="cxc-6-6-g0"),
+    pytest.param("cxc", 6, 6, [0], {0: 12}, 201_871, id="cxc-6-6-g0"),
     # not regular, so searched in an order other than the ids'
-    pytest.param("cxp", 6, 5, 2, {}, 15_318, id="cxp-6-5-g2"),
+    pytest.param("cxp", 6, 5, [2], {}, 15_318, id="cxp-6-5-g2"),
+    # not a product: unseeded, g = 0..3 in one pass
+    pytest.param("tree-and-chords", None, None, [0, 1, 2, 3], {}, 1_340,
+                 id="tree-and-chords-20-g0-3"),
 ])
-def test_fragment_node_counts(family, m, n, extra, seeds, nodes):
+def test_fragment_node_counts(family, m, n, extras, seeds, nodes):
     # node counts do not depend on the machine, so a search change shows here
-    graph = family_product(family.removesuffix("-bare"), m, n).graph
+    if family == "tree-and-chords":
+        graph = TREE_AND_CHORDS
+    else:
+        graph = family_product(family.removesuffix("-bare"), m, n).graph
     if family.endswith("-bare"):
         graph = Graph(graph.n, graph.masks)
-    res = fragment_solve_many(graph, [extra], seeds)[extra]
-    assert res.stats.nodes == nodes
+    res = fragment_solve_many(graph, extras, seeds)
+    assert {g: r.stats.nodes for g, r in res.items()} == dict.fromkeys(extras, nodes)
 
 
 @given(st.sampled_from(FAMILIES), st.integers(3, 4), st.integers(3, 4), st.data())
