@@ -21,7 +21,7 @@ from .formulas import (FAMILIES, IDENTITY_KINDS, DomainError, FamilyParams, ceil
                        kappa_closed_form, kappa_formula)
 from .products import ProductGraph, classify_cut, family_product
 from .solver import (INFINITY, SUBSET_BUDGET, InconclusiveError, check_layer_bounds,
-                     kappa_extra_fragment, kappa_extra_subset, result_to_json_dict)
+                     kappa_extra_fragment, kappa_extra_subset)
 from .verifier import (SweepConfig, report_failures, sweep, to_csv, to_json_dict)
 from .witnesses import (WITNESS_KINDS, WitnessError, build_witness, plan_witness,
                         validate_witness)
@@ -133,10 +133,13 @@ def cmd_exact(args) -> int:
         raise ValueError("--budget bounds the subset solver only")
     else:
         res = kappa_extra_fragment(g, args.g)
+    value = "infinity" if res.value is INFINITY else res.value
     if args.format == "json":
-        _emit(json.dumps(result_to_json_dict(res), sort_keys=True) + "\n", args.out)
+        doc = {"g": res.extra, "value": value, "witness": res.witness,  # a tuple writes as a list
+               "solver": res.solver, "stats": {"nodes": res.stats.nodes}}
+        _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
         return EXIT_OK
-    lines = [f"kappa_{args.g} = " + ("infinity" if res.value is INFINITY else str(res.value))]
+    lines = [f"kappa_{args.g} = {value}"]
     if res.witness is not None:
         lines.append("witness ids: " + " ".join(map(str, res.witness)))
         if pg is not None:

@@ -12,7 +12,7 @@ plain records are ``typing.NamedTuple`` classes.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 def check_int(value: object, name: str, least: int | None = None) -> int:
@@ -125,7 +125,7 @@ class Graph(Record):
                 raise ValueError("declared automorphism is not a permutation of "
                                  f"range({n})")
             for v, mask in enumerate(masks):
-                if sum(1 << p[u] for u in mask_to_tuple(mask)) != masks[p[v]]:
+                if map_mask(mask, p) != masks[p[v]]:
                     raise ValueError("declared permutation does not map the "
                                      f"neighbours of {v} onto those of {p[v]}")
         self._init(n, masks, labels, automorphisms)
@@ -239,8 +239,8 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, tuple[int, ...
     """
     keep = sorted(_check_vertex_set(g, vs))
     index = {old: new for new, old in enumerate(keep)}
-    masks = (sum(1 << index[u] for u in mask_to_tuple(g.masks[old]) if u in index)
-             for old in keep)
+    kept = sum(1 << old for old in keep)
+    masks = (map_mask(g.masks[old] & kept, index) for old in keep)
     labels = tuple(g.label(old) for old in keep) if g.labels is not None else None
     return Graph(len(keep), masks, labels), tuple(keep)
 
@@ -284,6 +284,12 @@ def mask_to_tuple(mask: int) -> tuple[int, ...]:
         mask ^= b
         out.append(b.bit_length() - 1)
     return tuple(out)
+
+
+def map_mask(mask: int, p: Sequence[int] | Mapping[int, int]) -> int:
+    """The image of the vertex set ``mask`` under the vertex map ``p``, a tuple,
+    dict or range one-to-one on ``mask``: bit v goes to bit ``p[v]``."""
+    return sum(1 << p[v] for v in mask_to_tuple(mask))
 
 
 def _doc(g: Graph) -> dict:

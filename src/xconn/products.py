@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 
 from .formulas import FAMILIES, family_cycles  # FAMILIES is re-exported
 from .graph import (Graph, Record, _check_vertex_set, _doc, check_int, components,
-                    induced_subgraph, make_cycle, make_path, mask_to_tuple, parse_json)
+                    induced_subgraph, make_cycle, make_path, map_mask, parse_json)
 from .graph import from_doc as graph_from_doc
 
 
@@ -78,7 +78,7 @@ def _product(g1: Graph, g2: Graph, kind: str) -> ProductGraph:
     # rows[i] has bit i2 * n for each i2 ~ i, so rows[i] << j is column j of
     # those rows, and rows[i] times a factor-2 mask (below 2**n) is the mask
     # repeated in each of them
-    rows = [sum(1 << i2 * n for i2 in mask_to_tuple(mask)) for mask in g1.masks]
+    rows = [map_mask(mask, range(0, m * n, n)) for mask in g1.masks]
     if kind == "strong":  # N[i] x N[j] minus (i, j), with N[.] closed neighbourhoods
         masks = [(rows[i] | 1 << i * n) * (g2.masks[j] | 1 << j) ^ 1 << i * n + j
                  for i in range(m) for j in range(n)]

@@ -26,8 +26,8 @@ import sys
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from .graph import (Graph, Record, check_int, is_complete, is_connected, mask_components,
-                    mask_to_tuple, min_degree, remaining_mask)
+from .graph import (Graph, Record, check_int, is_complete, is_connected, map_mask,
+                    mask_components, mask_to_tuple, min_degree, remaining_mask)
 
 INFINITY = math.inf
 SUBSET_BUDGET = 10 ** 8  # default subset checks of the brute-force scans
@@ -76,16 +76,6 @@ class ExtraConnResult(Record):
         if value is not INFINITY and witness is not None and len(witness) != value:
             raise ValueError("witness size does not match value")
         self._init(extra, value, witness, solver, stats, cuts)
-
-
-def result_to_json_dict(res: ExtraConnResult) -> dict:
-    return {
-        "g": res.extra,
-        "value": "infinity" if res.value is INFINITY else res.value,
-        "witness": list(res.witness) if res.witness is not None else None,
-        "solver": res.solver,
-        "stats": {"nodes": res.stats.nodes},
-    }
 
 
 def check_g_extra_cut(graph: Graph, cut: Iterable[int], extra: int) -> CutVerdict:
@@ -163,7 +153,7 @@ def _close_under(cuts: set[int], automorphisms: Sequence[Sequence[int]]) -> set[
     while frontier:
         mask = frontier.pop()
         for p in automorphisms:
-            image = sum(1 << p[v] for v in mask_to_tuple(mask))
+            image = map_mask(mask, p)
             if image not in closed:
                 closed.add(image)
                 frontier.append(image)
@@ -345,8 +335,8 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
     branches come in id order, so low-degree vertices, whose fragments have
     small boundaries, come first and lower the bound early.  The tie sets
     are the minimum cuts of the copy; each is mapped back to the original
-    ids once and sorted, so values, witnesses and cut lists do not depend
-    on the order, only node counts do.
+    ids once with ``map_mask``, which lists them ascending, so values,
+    witnesses and cut lists do not depend on the order, only node counts do.
     """
     extras = sorted({check_int(g, "extra", 0) for g in extras})
     if not extras:
@@ -355,7 +345,7 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
     # the copy's vertex i is the graph's vertex order[i]; the graph's v is pos[v]
     order = sorted(range(graph.n), key=graph.degree)
     pos = {v: i for i, v in enumerate(order)}
-    masks = [sum(1 << pos[u] for u in mask_to_tuple(graph.masks[v])) for v in order]
+    masks = [map_mask(graph.masks[v], pos) for v in order]
     autos = [tuple(pos[p[v]] for v in order) for p in graph.automorphisms]
     seeds = {check_int(g, "g of an upper bound", 0): check_int(bound, "upper bound", 0)
              for g, bound in (upper_bounds or {}).items()}
@@ -367,7 +357,7 @@ def fragment_solve_many(graph: Graph, extras: Sequence[int],
         for g in retry:
             ties[g] = ties2[g]
     # one cut tuple per mask, in the original ids, shared by every g it is minimum at
-    cut_of = {mask: tuple(sorted(order[i] for i in mask_to_tuple(mask)))
+    cut_of = {mask: mask_to_tuple(map_mask(mask, order))
               for mask in set().union(*ties.values())}
     out: dict[int, ExtraConnResult] = {}
     stats = SolverStats(nodes)  # the pass total, shared by every g

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from strategies import connected_graphs, graphs_with_vertex_sets
 from xconn.graph import (Graph, components, from_edges, from_json, induced_subgraph,
-                         is_complete, is_connected, make_cycle, make_path,
-                         min_degree, neighborhood, to_dot, to_json)
+                         is_complete, is_connected, make_cycle, make_path, map_mask,
+                         mask_to_tuple, min_degree, neighborhood, to_dot, to_json)
 from xconn.solver import kappa_extra_fragment
 
 
@@ -295,3 +295,21 @@ def test_components_rejects_out_of_range_vertices():
         components(make_path(3), {3})
     with pytest.raises(ValueError):
         components(make_path(3), {-1})
+
+
+@given(st.data())
+def test_map_mask_moves_each_bit_to_its_image(data):
+    n = data.draw(st.integers(1, 12))
+    p = data.draw(st.permutations(range(n)))
+    q = data.draw(st.permutations(range(n)))
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    image = map_mask(mask, p)
+    assert image.bit_count() == mask.bit_count()
+    inverse = {v: i for i, v in enumerate(p)}
+    assert map_mask(image, inverse) == mask
+    assert map_mask(image, q) == map_mask(mask, [q[p[v]] for v in range(n)])
+    # the product's row spread: vertex i of an order-n factor goes to the
+    # first vertex of row i, rows being `width` vertices long
+    width = data.draw(st.integers(1, 12))
+    assert (map_mask(mask, range(0, n * width, width))
+            == sum(1 << i * width for i in mask_to_tuple(mask)))
