@@ -69,9 +69,9 @@ def _parse_cut(text: str) -> tuple[int, ...]:
 
 
 def _family_flags(args) -> str:
-    """Those of --family, --m and --n that were given, joined for a message;
-    --m and --n default to 0, so a nonzero value marks one as given."""
-    return ", ".join(f"--{name}" for name in ("family", "m", "n") if getattr(args, name))
+    """Those of --family, --m and --n that were given, joined for a message."""
+    return ", ".join(f"--{name}" for name in ("family", "m", "n")
+                     if getattr(args, name) is not None)
 
 
 def _resolve_graph(args) -> tuple[graphmod.Graph, ProductGraph | None]:
@@ -82,7 +82,7 @@ def _resolve_graph(args) -> tuple[graphmod.Graph, ProductGraph | None]:
     if args.family in FAMILIES:
         pg = family_product(args.family, args.m, args.n)
         return pg.graph, pg
-    if args.family and args.m:
+    if args.family and args.m is not None:
         raise ValueError(f"--family {args.family} takes --n only, so --m would be ignored")
     if args.family == "path":
         return graphmod.make_path(args.n), None
@@ -264,8 +264,8 @@ def build_parser() -> _Parser:
 
     def add_common(p, family_choices, need_g=False, need_family=False):
         p.add_argument("--family", choices=family_choices, required=need_family)
-        p.add_argument("--m", type=int, default=0)
-        p.add_argument("--n", type=int, default=0)
+        p.add_argument("--m", type=int)
+        p.add_argument("--n", type=int)
         if need_g:
             p.add_argument("--g", type=int, required=True)
         p.add_argument("--out")

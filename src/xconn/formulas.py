@@ -33,9 +33,8 @@ CYCLES = {"pxp": (0, 0), "cxp": (1, 0), "cxc": (1, 1)}
 FAMILIES = tuple(CYCLES)
 FAMILY_MINS = {family: (3 + c1, 3 + c2) for family, (c1, c2) in CYCLES.items()}
 TERMS = ("layers1", "layers2", "block")
-# below the least orders: order k of the complete smaller factor, and
-# whether the other factor is a cycle (c = 1) or a path (c = 0)
-SMALL_CASES = {"p1p": (1, 0), "p2p": (2, 0), "c3p": (3, 0), "c3c": (3, 1)}
+# below the least orders: the family and the order k of its factor 1
+SMALL_CASES = {"p1p": ("pxp", 1), "p2p": ("pxp", 2), "c3p": ("cxp", 3), "c3c": ("cxc", 3)}
 
 
 class DomainError(ValueError):
@@ -133,7 +132,8 @@ def small_case_limit(which: str, n: int) -> int:
     be at least 1 for a path and 3 for a cycle."""
     if which not in tuple(SMALL_CASES):  # a tuple, so an unhashable name is unknown too
         raise ValueError(f"unknown small case {which!r}")
-    k, c = SMALL_CASES[which]
+    family, k = SMALL_CASES[which]
+    c = CYCLES[family][1]
     check_int(n, f"n of {which}", 1 + 2 * c)
     return k * ((n - 1 - c) // 2) - 1
 
@@ -141,31 +141,31 @@ def small_case_limit(which: str, n: int) -> int:
 def kappa_small_case(which: str, n: int, g: int) -> int:
     """kappa_g for the families below the main theorems' order thresholds:
     P1 x Pn -> 1, P2 x Pn -> 2, C3 x Pn -> 3, C3 x Cn -> 6, that is k(1+c)
-    for g <= k*floor((n-1-c)/2) - 1 with (k, c) from ``SMALL_CASES``."""
+    for g <= k*floor((n-1-c)/2) - 1, where ``SMALL_CASES`` gives the family
+    and the order k of factor 1 and c is the family's factor-2 cycle flag."""
     check_int(g, "g", 0)
     limit = small_case_limit(which, n)
     if g > limit:
         raise DomainError(f"g={g} exceeds the stated bound {limit} for {which} with n={n}")
-    k, c = SMALL_CASES[which]
-    return k * (1 + c)
+    family, k = SMALL_CASES[which]
+    return k * (1 + CYCLES[family][1])
 
 
 def kappa_closed_form(family: str, m: int, n: int, g: int) -> int:
-    """Closed-form kappa_g for any covered family instance, routing orders
-    below the main-theorem thresholds to their small-case values."""
-    for order, cycle in zip((m, n), family_cycles(family)):
+    """Closed-form kappa_g for any covered family instance.  A family whose
+    factors are alike takes the smaller order as factor 1; a factor 1 below
+    its least order routes to its small case, and a factor 2 below its least
+    order has no asserted form."""
+    c1, c2 = cycles = family_cycles(family)
+    for order, cycle in zip((m, n), cycles):
         check_int(order, "cycle order" if cycle else "path order", 1 + 2 * cycle)
-    if family == "pxp":
-        lo, hi = min(m, n), max(m, n)
-        if lo <= 2:
-            return kappa_small_case(f"p{lo}p", hi, g)
-    elif family == "cxp":
-        if m == 3:
-            return kappa_small_case("c3p", n, g)
-        if n < 3:
-            raise DomainError(f"C_m x P_n with n={n} < 3 has no asserted closed form")
-    elif min(m, n) == 3:  # cxc
-        return kappa_small_case("c3c", max(m, n), g)
+    first, second = sorted((m, n)) if c1 == c2 else (m, n)
+    if first < 3 + c1:
+        which = next(w for w, case in SMALL_CASES.items() if case == (family, first))
+        return kappa_small_case(which, second, g)
+    if second < 3 + c2:
+        raise DomainError(f"{'PC'[c1]}_m x {'PC'[c2]}_n with n={n} < {3 + c2} "
+                          "has no asserted closed form")
     return kappa_formula(FamilyParams(family, m, n, g)).value
 
 
@@ -198,38 +198,25 @@ def ceiling_identity(kind: str, g: int) -> bool:
 def verify_ceiling_identities(max_g: int) -> dict[str, list[int]]:
     """Failing g values per identity kind over 0..max_g, ascending.
 
-    The same answer as ``ceiling_identity`` at every kind and g, from one pass
-    over x = g+1 and y = 2x.  Each ceiling is a running value stepped up until
-    its definition holds: ceil(c*sqrt(t)) is the least k with k*k >= c*c*t and
-    ceil(x/q) the least p with p*q >= x.  None decreases as x grows: p rises
-    while q = ceil(sqrt(x)) is constant, and where q steps up from q-1 to q
-    (at x = (q-1)^2 + 1) p is q-1 just before and just after; y likewise.
+    The same answer as ``ceiling_identity`` at every kind and g, checked once
+    per run of x = g+1 on which all seven ceilings are constant.  Each ceiling
+    taken at the start of a run, such as q = ceil(sqrt(x)) or p = ceil(x/q),
+    keeps its value while its defining inequality (q*q >= x, p*q >= x, and
+    so on, with y = 2x) holds, so the run ends at the least of those bounds.
     """
+    check_int(max_g, "max_g")
     fails: dict[str, list[int]] = {k: [] for k in IDENTITY_KINDS}
-    f_pp, f_cp, f_cc = (fails[k] for k in IDENTITY_KINDS)
-    # ceil of sqrt(x), x/q, sqrt(y), y/qy, 2*sqrt(x), 2*sqrt(y), 4*sqrt(x)
-    q = p = qy = py = c2 = c2y = c4 = 1
-    for x in range(1, max_g + 2):
+    x = 1
+    while x <= max_g + 1:
         y = x + x
-        while q * q < x:
-            q += 1
-        while p * q < x:
-            p += 1
-        while qy * qy < y:
-            qy += 1
-        while py * qy < y:
-            py += 1
-        while c2 * c2 < y + y:
-            c2 += 1
-        while c2y * c2y < 4 * y:
-            c2y += 1
-        while c4 * c4 < 16 * x:
-            c4 += 1
-        s = q + p
-        if s != c2:
-            f_pp.append(x - 1)
-        if qy + py != c2y:
-            f_cp.append(x - 1)
-        if s + s != c4:
-            f_cc.append(x - 1)
+        q, qy = ceil_sqrt(x), ceil_sqrt(y)
+        p, py = ceil_div(x, q), ceil_div(y, qy)
+        c2, c2y, c4 = ceil_mul_sqrt(2, x), ceil_mul_sqrt(2, y), ceil_mul_sqrt(4, x)
+        end = min(q * q, p * q, qy * qy // 2, py * qy // 2, c2 * c2 // 4,
+                  c2y * c2y // 8, c4 * c4 // 16, max_g + 1)
+        holds = (q + p == c2, qy + py == c2y, 2 * (q + p) == c4)
+        for kind, ok in zip(IDENTITY_KINDS, holds):
+            if not ok:
+                fails[kind].extend(range(x - 1, end))
+        x = end + 1
     return fails

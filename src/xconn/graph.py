@@ -148,9 +148,10 @@ class Graph(Record):
         return sum(mask.bit_count() for mask in self.masks) // 2
 
     def degree(self, v: int) -> int:
-        return self.masks[v].bit_count()
+        return self.masks[_check_vertex(self, v)].bit_count()
 
     def label(self, v: int) -> str:
+        _check_vertex(self, v)
         return self.labels[v] if self.labels is not None else str(v)
 
 
@@ -194,12 +195,18 @@ def make_cycle(n: int, letter: str = "x") -> Graph:
                       [((i + 1) % n for i in range(n)), (-i % n for i in range(n))])
 
 
+def _check_vertex(g: Graph, v: int) -> int:
+    """``v`` if it is an ``int`` vertex of ``g``, else ValueError."""
+    if not 0 <= check_int(v, "vertex") < g.n:
+        raise ValueError(f"vertex {v} out of range for graph of order {g.n}")
+    return v
+
+
 def _check_vertex_set(g: Graph, vs: Iterable[int]) -> frozenset[int]:
     """``vs`` as a set, once each member is an ``int`` vertex of ``g``."""
     s = frozenset(check_int(v, "vertex") for v in vs)
     for v in s:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for graph of order {g.n}")
+        _check_vertex(g, v)
     return s
 
 

@@ -21,8 +21,8 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .formulas import FAMILIES, family_cycles  # FAMILIES is re-exported
-from .graph import (Graph, Record, _check_vertex_set, _doc, check_int, components,
-                    induced_subgraph, make_cycle, make_path, map_mask, parse_json)
+from .graph import (Graph, Record, _check_vertex, _check_vertex_set, _doc, check_int,
+                    components, induced_subgraph, make_cycle, make_path, map_mask, parse_json)
 from .graph import from_doc as graph_from_doc
 
 
@@ -51,14 +51,13 @@ class ProductGraph(Record):
         self._init(graph, m, n, kind)
 
     def id(self, i: int, j: int) -> int:
+        i, j = check_int(i, "i"), check_int(j, "j")
         if not (0 <= i < self.m and 0 <= j < self.n):
             raise ValueError(f"coordinate ({i},{j}) out of range")
         return i * self.n + j
 
     def coords(self, v: int) -> tuple[int, int]:
-        if not 0 <= v < self.graph.n:
-            raise ValueError(f"vertex {v} out of range")
-        return divmod(v, self.n)
+        return divmod(_check_vertex(self.graph, v), self.n)
 
     @cached_property
     def factor1(self) -> Graph:

@@ -149,6 +149,41 @@ def test_gen_path_or_cycle_with_m_is_refused(capsys, family):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--family", "path", "--m", "0", "--n", "3"],
+     "--family path takes --n only, so --m would be ignored"),
+    (["gen", "--family", "cycle", "--m", "0", "--n", "4"],
+     "--family cycle takes --n only, so --m would be ignored"),
+    (["exact", "--file", "no-such.json", "--m", "0", "--g", "0"],
+     "--file gives the graph, so --m would be ignored"),
+    (["gen", "--file", "no-such.json", "--n", "0"],
+     "--file gives the graph, so --n would be ignored"),
+    (["product", "--file1", "no-such.json", "--file2", "no-such.json", "--m", "0"],
+     "--file1 and --file2 give the factors, so --m would be ignored"),
+])
+def test_an_explicit_zero_order_counts_as_given(capsys, argv, message):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "pxp", "--n", "3"],
+    ["gen", "--family", "path"],
+    ["product", "--family", "cxp", "--m", "4"],
+    ["exact", "--family", "cxc", "--g", "0"],
+    ["formula", "--family", "pxp", "--m", "1", "--g", "0"],
+    ["witness", "--family", "pxp", "--n", "4", "--g", "0", "--which", "block"],
+    ["classify-cut", "--family", "pxp", "--m", "3", "--cut", "1"],
+])
+def test_a_family_without_an_order_exits_1(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "must be an integer, got None" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_product_family_with_files_is_refused_before_they_are_opened(tmp_path, capsys):
     f1, f2 = str(tmp_path / "p3.json"), str(tmp_path / "c4.json")
     assert run(["product", "--family", "cxc", "--m", "5", "--n", "5",

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,6 +166,75 @@ def test_identity_sweep_matches_single_checks():
         assert fails[kind] == direct
     assert fails["path_path"] == [] and fails["cycle_path"] == []
     assert fails["cycle_cycle"][:4] == [2, 4, 6, 9]
+    # far out, on either side of the x = g+1 where some ceiling steps up
+    fails = {kind: set(gs) for kind, gs in verify_ceiling_identities(10 ** 6).items()}
+    steps = {k * k // d for k in range(990, 1001) for d in (1, 2, 4, 8, 16)}
+    for g in sorted({x - 1 + e for x in steps for e in (-1, 0, 1)}):
+        for kind, failing in fails.items():
+            assert (g in failing) == (not ceiling_identity(kind, g)), (kind, g)
+
+
+def test_identity_sweep_to_each_max_g_is_a_prefix():
+    # each run is cut at max_g, so every max_g must give the prefix of a longer sweep
+    full = verify_ceiling_identities(300)
+    for max_g in range(301):
+        fails = verify_ceiling_identities(max_g)
+        assert fails == {kind: [g for g in gs if g <= max_g]
+                         for kind, gs in full.items()}, max_g
+
+
+@pytest.mark.parametrize("max_g", [2.5, 3.0, True, "300", None])
+def test_identity_sweep_rejects_non_integers(max_g):
+    with pytest.raises(ValueError, match="max_g must be an integer"):
+        verify_ceiling_identities(max_g)
+
+
+@pytest.mark.parametrize("max_g", [-1, -5])
+def test_identity_sweep_below_zero_is_empty(max_g):
+    assert verify_ceiling_identities(max_g) == {
+        "path_path": [], "cycle_path": [], "cycle_cycle": []}
+
+
+@pytest.mark.parametrize("family, which, k, least_n", [
+    ("pxp", "p1p", 1, 1), ("pxp", "p2p", 2, 2), ("cxc", "c3c", 3, 3), ("cxp", "c3p", 3, 1)])
+def test_closed_form_routes_degenerate_orders_to_small_cases(family, which, k, least_n):
+    # alike factors take the small order k given first or second
+    for n in range(least_n, 13):
+        orders = ((k, n), (n, k)) if family != "cxp" else ((k, n),)
+        for g in range(max(small_case_limit(which, n), 0) + 2):
+            for m_, n_ in orders:
+                try:
+                    want = kappa_small_case(which, n, g)
+                except DomainError as exc:
+                    with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                        kappa_closed_form(family, m_, n_, g)
+                else:
+                    assert kappa_closed_form(family, m_, n_, g) == want, (family, m_, n_, g)
+
+
+def test_closed_form_elsewhere_is_the_formula():
+    for family, (min_m, min_n) in FAMILY_MINS.items():
+        for m in range(min_m, 13):
+            for n in range(min_n, 13):
+                for g in range(guard_limit(family, m, n) + 2):
+                    try:
+                        want = kappa_formula(FamilyParams(family, m, n, g)).value
+                    except DomainError as exc:
+                        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                            kappa_closed_form(family, m, n, g)
+                    else:
+                        assert kappa_closed_form(family, m, n, g) == want
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_closed_form_refuses_a_cylinder_below_its_least_path(n):
+    for g in range(40):
+        with pytest.raises(DomainError, match=f"^g={g} exceeds the stated bound -1 for c3p"):
+            kappa_closed_form("cxp", 3, n, g)
+        for m in range(4, 13):
+            with pytest.raises(DomainError, match=f"^C_m x P_n with n={n} < 3 has no "
+                                                  "asserted closed form$"):
+                kappa_closed_form("cxp", m, n, g)
 
 
 def test_formula_symmetry_for_paths():

@@ -1,3 +1,4 @@
+import re
 
 import networkx as nx
 import pytest
@@ -52,6 +53,23 @@ def test_neighborhood_examples():
 def test_neighborhood_rejects_out_of_range():
     with pytest.raises(ValueError):
         neighborhood(make_path(3), {5})
+
+
+@pytest.mark.parametrize("v, message", [
+    (-1, "vertex -1 out of range for graph of order 4"),  # no wrap to the last vertex
+    (4, "vertex 4 out of range for graph of order 4"),
+    (True, "vertex must be an integer, got True"),
+    (1.0, "vertex must be an integer, got 1.0"),
+    ("1", "vertex must be an integer, got '1'"),
+])
+@pytest.mark.parametrize("labelled", [True, False])
+def test_degree_and_label_refuse_a_bad_vertex(v, message, labelled):
+    g = make_path(4) if labelled else from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    for accessor in (g.degree, g.label):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            accessor(v)
+    assert [g.degree(v) for v in range(4)] == [1, 2, 2, 1]
+    assert g.label(3) == ("x4" if labelled else "3")
 
 
 def test_components_examples():

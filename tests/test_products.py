@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -402,6 +403,31 @@ def test_product_graph_rejects_non_integer_orders(m, n):
     graph = family_product("pxp", 3, 3).graph
     with pytest.raises(ValueError, match="factor orders must be integers"):
         ProductGraph(graph, m, n, "strong")
+
+
+@pytest.mark.parametrize("i, j, message", [
+    (1.0, 2, "i must be an integer, got 1.0"),
+    (True, 0, "i must be an integer, got True"),
+    (-1, 1.0, "j must be an integer, got 1.0"),
+    (1, "2", "j must be an integer, got '2'"),
+    (-1, 0, "coordinate (-1,0) out of range"),
+    (1, 3, "coordinate (1,3) out of range"),
+])
+def test_product_id_refuses_a_bad_coordinate(i, j, message):
+    pg = family_product("pxp", 3, 3)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pg.id(i, j)
+
+
+@pytest.mark.parametrize("v, message", [(2.5, "vertex must be an integer, got 2.5"),
+                                        (False, "vertex must be an integer, got False"),
+                                        (-1, "vertex -1 out of range for graph of order 9"),
+                                        (9, "vertex 9 out of range for graph of order 9")])
+def test_product_coords_refuse_a_bad_vertex(v, message):
+    pg = family_product("pxp", 3, 3)
+    for call in (pg.coords, lambda v: render_coords(pg, [v])):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(v)
 
 
 def test_render_coords_labelled_and_unlabelled():
