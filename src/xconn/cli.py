@@ -74,16 +74,25 @@ def _family_flags(args) -> str:
                      if getattr(args, name) is not None)
 
 
+def _need_orders(args, *names: str) -> None:
+    """Refuse a --family graph that lacks any of the orders ``names``."""
+    if missing := [f"--{name}" for name in names if getattr(args, name) is None]:
+        raise ValueError(f"--family {args.family} needs {' and '.join(missing)}")
+
+
 def _resolve_graph(args) -> tuple[graphmod.Graph, ProductGraph | None]:
     if getattr(args, "file", None):
         if flags := _family_flags(args):
             raise ValueError(f"--file gives the graph, so {flags} would be ignored")
         return _load_any(args.file)
     if args.family in FAMILIES:
+        _need_orders(args, "m", "n")
         pg = family_product(args.family, args.m, args.n)
         return pg.graph, pg
     if args.family and args.m is not None:
         raise ValueError(f"--family {args.family} takes --n only, so --m would be ignored")
+    if args.family:
+        _need_orders(args, "n")
     if args.family == "path":
         return graphmod.make_path(args.n), None
     if args.family == "cycle":
@@ -117,6 +126,7 @@ def cmd_product(args) -> int:
                  else productsmod.cartesian_product)
         pg = build(g1, g2)
     elif args.family:
+        _need_orders(args, "m", "n")
         pg = family_product(args.family, args.m, args.n, args.kind)
     else:
         raise ValueError("a product needs --family or --file1 and --file2")
@@ -149,6 +159,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_formula(args) -> int:
+    _need_orders(args, "m", "n")
     value = kappa_closed_form(args.family, args.m, args.n, args.g)
     if args.format == "json":
         doc: dict = {"family": args.family, "m": args.m, "n": args.n,
@@ -166,6 +177,7 @@ def cmd_formula(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    _need_orders(args, "m", "n")
     params = FamilyParams(args.family, args.m, args.n, args.g)
     spec = plan_witness(params, args.which)
     pg = family_product(args.family, args.m, args.n)  # refuses an oversized order first

@@ -207,10 +207,15 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
     A child that passes is entered only if it does work there: it is
     evaluated (|H + u| >= min g + 1 and |N(H + u)| <= ub), or it can branch
     (N(H + u) - F is not empty and its committed boundary is at most
-    n - 2|H + u| - 2).  Otherwise its own loop would return at once, since
-    its first test reads that same boundary against n - 2(|H + u| + 1), and
-    ub cannot fall in between because nothing is evaluated; so skipping it
-    changes the node count and nothing else.
+    n - 2|H + u| - 2) into a grandchild H + u + w that could itself branch
+    (the boundary is at most n - 2|H + u| - 4) or be evaluated
+    (|H + u| >= min g and |N(H + u)| <= ub + 1).  A grandchild's committed
+    boundary is at least the child's (N(H + u + w) holds N(H + u) but w, w
+    is not in F, and F only grows), its neighbourhood has at least
+    |N(H + u)| - 1 vertices (|N[H]| never shrinks as H grows), and ub
+    cannot fall before something is evaluated, so a skipped child would
+    evaluate nothing and enter no child: skipping it changes the node count
+    and nothing else.
 
     ``automorphisms`` (validated generators, e.g. ``Graph.automorphisms``)
     restrict the roots to the smallest vertex of each orbit; the tie sets
@@ -296,8 +301,12 @@ def _fragment_search(masks: Sequence[int], n: int, extras: Sequence[int],
                 s2 = s_mask | u_bit
                 nb2 = (nb_mask | masks[u_bit.bit_length() - 1]) & ~s2
                 bound = (nb2 & forb).bit_count()
-                # enter only a child within the bound that can branch or is evaluated
-                if bound <= cap and ((bound <= limit - 2 and nb2 & ~forb)
+                # enter only a child within the bound that is evaluated, or that
+                # branches into a grandchild able to branch or be evaluated
+                if bound <= cap and ((bound <= limit - 2 and nb2 & ~forb
+                                      and (bound <= limit - 4
+                                           or (size >= min_size - 2
+                                               and nb2.bit_count() <= ub + 1)))
                                      or (size >= min_size - 1 and nb2.bit_count() <= ub)):
                     grow(s2, size + 1, nb2, forb, bound)
                     cap = ub if ub < limit else limit  # the child may lower ub

@@ -176,12 +176,18 @@ def test_an_explicit_zero_order_counts_as_given(capsys, argv, message):
     ["formula", "--family", "pxp", "--m", "1", "--g", "0"],
     ["witness", "--family", "pxp", "--n", "4", "--g", "0", "--which", "block"],
     ["classify-cut", "--family", "pxp", "--m", "3", "--cut", "1"],
+    ["exact", "--family", "cxp", "--m", "4", "--g", "0"],
+    ["formula", "--family", "cxc", "--g", "0", "--n", "4"],
+    ["witness", "--family", "pxp", "--m", "4", "--g", "0", "--which", "block"],
 ])
 def test_a_family_without_an_order_exits_1(capsys, argv):
     assert run(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "must be an integer, got None" in captured.err
-    assert "Traceback" not in captured.err and captured.out == ""
+    family = argv[argv.index("--family") + 1]
+    missing = [flag for flag in (("--n",) if family == "path" else ("--m", "--n"))
+               if flag not in argv]
+    assert captured.err == f"error: --family {family} needs {' and '.join(missing)}\n"
+    assert captured.out == ""
 
 
 def test_product_family_with_files_is_refused_before_they_are_opened(tmp_path, capsys):
@@ -497,7 +503,7 @@ def test_sweep_cell_above_the_vertex_cap_runs_no_solve(capsys, monkeypatch):
 
 def test_sweep_settles_the_torus_gap_cell(capsys):
     # C6 x C6 at g=2: the ceiling term ceil(4*sqrt(3)) + 4 = 11 is active, but no
-    # 2-extra cut has fewer than 2*ceil(2*sqrt(3)) + 4 = 12 vertices (895,193
+    # 2-extra cut has fewer than 2*ceil(2*sqrt(3)) + 4 = 12 vertices (412,290
     # fragment nodes, a few seconds)
     assert run(["sweep", "--families", "cxc", "--m-range", "6:6", "--n-range", "6:6",
                 "--g-list", "2", "--threads", "1"]) == 4
